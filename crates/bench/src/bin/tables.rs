@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Experiments: `table1`, `table2`, `table3`, `table4`, `ablation`,
-//! `simulate`, `parallel`, `portfolio`, `simplex`, `kernel`, `resilience`,
+//! `simulate`, `parallel`, `simplex`, `kernel`, `resilience`,
 //! `scale`, `service`, `all` (plus `scale-smoke` and `kernel-smoke`, the
 //! budgeted CI variants of `scale` and `kernel`). The `service` experiment drives the solve server's
 //! load-generator sweep (`service-bench` in the server crate) and writes
@@ -24,14 +24,11 @@
 //! `parallel` experiment ignores it and sweeps its own thread counts over
 //! the work-stealing scheduler, writing the measurements — per-node
 //! wall-clock, per-worker busy time, and the contention counters — plus a
-//! pinned acceptance bar to `BENCH_parallel.json`. The `portfolio`
-//! experiment races the configuration portfolio against each arm run
-//! standalone on the flagship unguided row and writes
-//! `BENCH_portfolio.json`. The `simplex` experiment sweeps the pricing
-//! rules (Dantzig / devex / Bland) over the same instances and writes
-//! `BENCH_simplex.json`. The `kernel` experiment compares the
-//! basis-maintenance engines (eta file vs Forrest–Tomlin vs
-//! Markowitz-pivoted FT with the dynamic refactorization trigger) on an
+//! pinned acceptance bar to `BENCH_parallel.json`. The `simplex`
+//! experiment sweeps the pricing rules (Dantzig / devex) over the same
+//! instances and writes `BENCH_simplex.json`. The `kernel` experiment
+//! compares the basis-maintenance engines (eta file vs Markowitz-pivoted
+//! Forrest–Tomlin with the dynamic refactorization trigger) on an
 //! equivalence tier, the flagship row, and the `--scale` replicated
 //! instances, and writes `BENCH_kernel.json`.
 
@@ -78,7 +75,6 @@ fn main() {
             "ablation" => ablation(limit, threads),
             "simulate" => simulate(threads),
             "parallel" => parallel(limit),
-            "portfolio" => portfolio(limit),
             "simplex" => simplex(limit),
             "kernel" => kernel(limit, false),
             "kernel-smoke" => kernel(limit, true),
@@ -95,7 +91,6 @@ fn main() {
                 ablation(limit, threads);
                 simulate(threads);
                 parallel(limit);
-                portfolio(limit);
                 simplex(limit);
                 kernel(limit, false);
                 resilience(limit);
@@ -103,7 +98,7 @@ fn main() {
                 service(limit);
             }
             other => eprintln!(
-                "unknown experiment `{other}` (try table1..4, ablation, simulate, parallel, portfolio, simplex, kernel, kernel-smoke, resilience, scale, scale-smoke, service, race, all)"
+                "unknown experiment `{other}` (try table1..4, ablation, simulate, parallel, simplex, kernel, kernel-smoke, resilience, scale, scale-smoke, service, race, all)"
             ),
         }
     }
@@ -143,11 +138,9 @@ fn table1(limit: f64, threads: usize) {
         device: date98_device(),
         seed_incumbent: false,
         threads,
-        portfolio: false,
         pricing: Pricing::Dantzig,
         profile: false,
         cuts: false,
-        rins: false,
         propagate: false,
         branching: Branching::Rule,
         basis_update: BasisUpdate::Eta,
@@ -181,11 +174,9 @@ fn table2(limit: f64, threads: usize) {
         device: date98_device(),
         seed_incumbent: false,
         threads,
-        portfolio: false,
         pricing: Pricing::Dantzig,
         profile: false,
         cuts: false,
-        rins: false,
         propagate: false,
         branching: Branching::Rule,
         basis_update: BasisUpdate::Eta,
@@ -214,11 +205,9 @@ fn table3(limit: f64, threads: usize) {
             device: date98_device(),
             seed_incumbent: false,
             threads,
-            portfolio: false,
             pricing: Pricing::Dantzig,
             profile: false,
             cuts: false,
-            rins: false,
             propagate: false,
             branching: Branching::Rule,
             basis_update: BasisUpdate::Eta,
@@ -262,11 +251,9 @@ fn table4(limit: f64, threads: usize) {
         device: date98_device(),
         seed_incumbent: true,
         threads,
-        portfolio: false,
         pricing: Pricing::Dantzig,
         profile: false,
         cuts: false,
-        rins: false,
         propagate: false,
         branching: Branching::Rule,
         basis_update: BasisUpdate::Eta,
@@ -374,11 +361,9 @@ fn ablation(limit: f64, threads: usize) {
             device: date98_device(),
             seed_incumbent,
             threads,
-            portfolio: false,
             pricing: Pricing::Dantzig,
             profile: false,
             cuts: false,
-            rins: false,
             propagate: false,
             branching: Branching::Rule,
             basis_update: BasisUpdate::Eta,
@@ -546,11 +531,9 @@ fn parallel(limit: f64) {
                 device: date98_device(),
                 seed_incumbent: false,
                 threads,
-                portfolio: false,
                 pricing: Pricing::Dantzig,
                 profile: false,
                 cuts: false,
-                rins: false,
                 propagate: false,
                 branching: Branching::Rule,
                 basis_update: BasisUpdate::Eta,
@@ -658,158 +641,14 @@ fn parallel(limit: f64) {
     println!();
 }
 
-/// Portfolio-racing study on the flagship unguided instance (g1, N=3, L=1,
-/// first-index rule — the configuration the race is designed to rescue):
-/// each racing arm is first run standalone and serial, then the portfolio
-/// races them all, one thread per arm, first conclusive finisher wins. The
-/// pinned bar: the race beats the *worst* single configuration — that is
-/// the whole point of a portfolio, insurance against picking the bad
-/// configuration, and it holds even on a 1-CPU host where the arms
-/// timeshare. Results go to stdout and `BENCH_portfolio.json`.
-fn portfolio(limit: f64) {
-    // The standalone arms, mirroring what `MipOptions::portfolio` races for
-    // a first-index caller (its Dantzig arm doubles as the unguided arm).
-    type Arm = (&'static str, RuleKind, Pricing);
-    let singles: [Arm; 3] = [
-        (
-            "first-index-dantzig",
-            RuleKind::FirstIndex,
-            Pricing::Dantzig,
-        ),
-        ("first-index-devex", RuleKind::FirstIndex, Pricing::Devex),
-        (
-            "most-fractional-devex",
-            RuleKind::MostFractional,
-            Pricing::Devex,
-        ),
-    ];
-    let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
-    println!("Portfolio racing: g1-N3-L1 unguided, single arms vs the race");
-    println!(
-        "(host has {host_cpus} CPU{}; on 1 CPU the racing arms timeshare)",
-        if host_cpus == 1 { "" } else { "s" }
-    );
-    println!(
-        "{:<28} {:>9} {:>7} {:>5} {:>9}",
-        "configuration", "wall(ms)", "nodes", "cost", "winner"
-    );
-    let base = |rule: RuleKind, pricing: Pricing, portfolio: bool| RowConfig {
-        graph_no: 1,
-        ams: (2, 2, 1),
-        config: ModelConfig::tightened(3, 1),
-        rule,
-        time_limit_secs: limit,
-        device: date98_device(),
-        seed_incumbent: false,
-        threads: 1,
-        portfolio,
-        pricing,
-        profile: false,
-        cuts: false,
-        rins: false,
-        propagate: false,
-        branching: Branching::Rule,
-        basis_update: BasisUpdate::Eta,
-        refactor: RefactorSchedule::Fixed,
-        scale: 1,
-    };
-    let mut json_rows: Vec<String> = Vec::new();
-    let mut worst_single: Option<(f64, &'static str)> = None;
-    for (name, rule, pricing) in singles {
-        match run_row(&base(rule, pricing, false)) {
-            Ok(row) => {
-                let wall_ms = row.seconds * 1e3;
-                if worst_single.is_none_or(|(w, _)| wall_ms > w) {
-                    worst_single = Some((wall_ms, name));
-                }
-                println!(
-                    "{:<28} {:>9.1} {:>7} {:>5} {:>9}",
-                    name,
-                    wall_ms,
-                    row.nodes,
-                    row.cost.map_or("-".to_string(), |c| c.to_string()),
-                    "-",
-                );
-                json_rows.push(format!(
-                    "  {{\"configuration\": \"{name}\", \"mode\": \"single\", \
-                     \"host_cpus\": {host_cpus}, \"wall_ms\": {:.3}, \"nodes\": {}, \
-                     \"lp_iterations\": {}, \"cost\": {}}}",
-                    wall_ms,
-                    row.nodes,
-                    row.lp_iterations,
-                    row.cost.map_or("null".to_string(), |c| c.to_string()),
-                ));
-            }
-            Err(e) => eprintln!("portfolio single {name} failed: {e}"),
-        }
-    }
-    match run_row(&base(RuleKind::FirstIndex, Pricing::Dantzig, true)) {
-        Ok(row) => {
-            let wall_ms = row.seconds * 1e3;
-            let winner = row
-                .stats
-                .portfolio_winner
-                .clone()
-                .unwrap_or_else(|| "-".to_string());
-            println!(
-                "{:<28} {:>9.1} {:>7} {:>5} {:>9}",
-                "portfolio (race)",
-                wall_ms,
-                row.nodes,
-                row.cost.map_or("-".to_string(), |c| c.to_string()),
-                winner,
-            );
-            let arm_nodes: Vec<String> = row
-                .stats
-                .per_worker_nodes
-                .iter()
-                .map(usize::to_string)
-                .collect();
-            json_rows.push(format!(
-                "  {{\"configuration\": \"portfolio\", \"mode\": \"race\", \
-                 \"host_cpus\": {host_cpus}, \"wall_ms\": {:.3}, \"nodes\": {}, \
-                 \"lp_iterations\": {}, \"cost\": {}, \"winner\": \"{winner}\", \
-                 \"arm_nodes\": [{}]}}",
-                wall_ms,
-                row.nodes,
-                row.lp_iterations,
-                row.cost.map_or("null".to_string(), |c| c.to_string()),
-                arm_nodes.join(", "),
-            ));
-            // Pinned bar: the race beats the worst single configuration.
-            if let Some((worst_ms, worst_name)) = worst_single {
-                let pass = wall_ms < worst_ms;
-                println!(
-                    "acceptance [{}]: race {wall_ms:.0} ms vs worst single \
-                     {worst_name} {worst_ms:.0} ms",
-                    if pass { "PASS" } else { "FAIL" }
-                );
-                json_rows.push(format!(
-                    "  {{\"acceptance\": \"race_beats_worst_single\", \
-                     \"worst_single\": \"{worst_name}\", \"worst_ms\": {worst_ms:.3}, \
-                     \"race_ms\": {wall_ms:.3}, \"pass\": {pass}}}"
-                ));
-            }
-        }
-        Err(e) => eprintln!("portfolio race failed: {e}"),
-    }
-    let json = format!("[\n{}\n]\n", json_rows.join(",\n"));
-    match std::fs::write("BENCH_portfolio.json", &json) {
-        Ok(()) => println!("wrote BENCH_portfolio.json ({} rows)", json_rows.len()),
-        Err(e) => eprintln!("cannot write BENCH_portfolio.json: {e}"),
-    }
-    println!();
-}
-
 /// Pricing-rule study: the serial solver re-run under each simplex pricing
 /// mode with the profiling layer on. Dantzig is the pinned legacy engine and
 /// the baseline; devex adds incremental reduced costs, hypersparse solves,
-/// and the bound-flipping dual ratio test; Bland is the anti-cycling rule
-/// (slow by design — included as the lower anchor). Every mode proves the
-/// same optimum. Each cell is the best of three runs; results go to stdout
+/// and the bound-flipping dual ratio test. Both modes prove the same
+/// optimum. Each cell is the best of three runs; results go to stdout
 /// and `BENCH_simplex.json`.
 fn simplex(limit: f64) {
-    const PRICINGS: [Pricing; 3] = [Pricing::Dantzig, Pricing::Devex, Pricing::Bland];
+    const PRICINGS: [Pricing; 2] = [Pricing::Dantzig, Pricing::Devex];
     const REPS: usize = 3;
     // The parallel study's three workhorses: two guided Table 3 rows and the
     // unguided Table 2 flagship (~10.7k nodes — the LP-bound regime where
@@ -845,11 +684,9 @@ fn simplex(limit: f64) {
                 device: date98_device(),
                 seed_incumbent: false,
                 threads: 1,
-                portfolio: false,
                 pricing,
                 profile: true,
                 cuts: false,
-                rins: false,
                 propagate: false,
                 branching: Branching::Rule,
                 basis_update: BasisUpdate::Eta,
@@ -922,9 +759,8 @@ fn simplex(limit: f64) {
 }
 
 /// Kernel-speed study (DESIGN.md §5h): the basis-maintenance engines —
-/// the pinned legacy eta file, Forrest–Tomlin updates, and
-/// Markowitz-pivoted Forrest–Tomlin under the dynamic refactorization
-/// trigger — compared on three tiers:
+/// the pinned legacy eta file and Markowitz-pivoted Forrest–Tomlin under
+/// the dynamic refactorization trigger — compared on three tiers:
 ///
 /// 1. *Equivalence*: every decidable Table 4 row (all six paper graphs),
 ///    solved guided and seeded under each kernel. The bar is identical
@@ -934,9 +770,8 @@ fn simplex(limit: f64) {
 ///    on the same LP optimum (the doubled-chain MIPs themselves are
 ///    undecidable in any reasonable budget).
 /// 2. *Flagship*: the Table 2 unguided workhorse end-to-end, best of
-///    `REPS` runs per kernel, with the pinned acceptance bar: the best FT
-///    variant ≥1.25× the eta baseline's wall clock at the same proven
-///    optimum 13.
+///    `REPS` runs per kernel, with the pinned acceptance bar: FT ≥1.25×
+///    the eta baseline's wall clock at the same proven optimum 13.
 /// 3. *Scaled*: externally timed root-LP solves at a fixed pivot cap on
 ///    the replicate-and-chain instances, including the ≥500-op `g1x23`
 ///    row. Both kernels spend the identical pivot budget, so the
@@ -947,31 +782,24 @@ fn simplex(limit: f64) {
 /// comparable. Results go to stdout and `BENCH_kernel.json` (written via
 /// `BENCH_kernel.json.tmp` and renamed, so an interrupted run never
 /// leaves a truncated artifact). `kernel-smoke` is the budgeted CI
-/// variant: the g1 row only on the equivalence tier, eta vs ft-markowitz
-/// only, single reps, the smaller scaled row as the speed bar, and a
-/// separate gitignored artifact (`BENCH_kernel_smoke.json`) so local
-/// `verify.sh` runs never clobber the committed full-budget one.
+/// variant: the g1 row only on the equivalence tier, single reps, the
+/// smaller scaled row as the speed bar, and a separate gitignored
+/// artifact (`BENCH_kernel_smoke.json`) so local `verify.sh` runs never
+/// clobber the committed full-budget one.
 fn kernel(limit: f64, smoke: bool) {
     type Kernel = (&'static str, BasisUpdate, RefactorSchedule);
-    const ALL_KERNELS: [Kernel; 4] = [
+    let kernels: [Kernel; 2] = [
         ("eta/fixed", BasisUpdate::Eta, RefactorSchedule::Fixed),
-        ("ft/fixed", BasisUpdate::Ft, RefactorSchedule::Fixed),
-        ("ft/dynamic", BasisUpdate::Ft, RefactorSchedule::Dynamic),
         (
             "ft-markowitz/dynamic",
             BasisUpdate::FtMarkowitz,
             RefactorSchedule::Dynamic,
         ),
     ];
-    let kernels: Vec<Kernel> = if smoke {
-        vec![ALL_KERNELS[0], ALL_KERNELS[3]]
-    } else {
-        ALL_KERNELS.to_vec()
-    };
     let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let mut json_rows: Vec<String> = Vec::new();
     println!(
-        "Kernel study: basis-maintenance engines (eta / FT / FT-Markowitz){}",
+        "Kernel study: basis-maintenance engines (eta / FT-Markowitz){}",
         if smoke { " (smoke)" } else { "" }
     );
 
@@ -1010,11 +838,9 @@ fn kernel(limit: f64, smoke: bool) {
                 device: date98_device(),
                 seed_incumbent: true,
                 threads: 1,
-                portfolio: false,
                 pricing: Pricing::Dantzig,
                 profile: true,
                 cuts: false,
-                rins: false,
                 propagate: false,
                 branching: Branching::Rule,
                 basis_update: bu,
@@ -1097,11 +923,9 @@ fn kernel(limit: f64, smoke: bool) {
             device: date98_device(),
             seed_incumbent: false,
             threads: 1,
-            portfolio: false,
             pricing: Pricing::Dantzig,
             profile: true,
             cuts: false,
-            rins: false,
             propagate: false,
             branching: Branching::Rule,
             basis_update: bu,
@@ -1267,11 +1091,6 @@ fn kernel(limit: f64, smoke: bool) {
         let mut best_ft_cell: Option<(&str, f64, usize)> = None;
         let mut lp_optima: Vec<f64> = Vec::new();
         for &(kname, bu, rs) in &kernels {
-            if kname == "ft/fixed" {
-                // The fixed schedule is an end-to-end ablation; the scaled
-                // tier compares the shipping dynamic variants against eta.
-                continue;
-            }
             let opts = LpOptions {
                 max_iterations: cap,
                 pricing: Pricing::Devex,
@@ -1335,10 +1154,7 @@ fn kernel(limit: f64, smoke: bool) {
         // in any reasonable budget), every kernel must land on the same
         // LP optimum.
         if label == "g1x4-N3-L6" {
-            let expected = kernels
-                .iter()
-                .filter(|(kname, ..)| *kname != "ft/fixed")
-                .count();
+            let expected = kernels.len();
             let spread = lp_optima
                 .iter()
                 .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &o| {
@@ -1525,8 +1341,8 @@ fn resilience(limit: f64) {
 }
 
 /// Scale-layer study: the flagship unguided row (graph 1, N=3, L=1,
-/// first-index rule, unseeded — the ~10.7k-node tree the cut-and-heuristic
-/// layer exists to shrink) re-solved under each scale feature alone and
+/// first-index rule, unseeded — the ~10.7k-node tree the scale layer
+/// exists to shrink) re-solved under each scale feature alone and
 /// under the full stack. Every variant must prove the same optimum
 /// (cost 13); the headline acceptance bar is the full stack exploring at
 /// most 70% of the baseline's nodes. `smoke` runs only the baseline and
@@ -1534,14 +1350,13 @@ fn resilience(limit: f64) {
 /// `BENCH_scale.json` (written via `BENCH_scale.json.tmp` and renamed, so
 /// an interrupted run never leaves a truncated artifact).
 fn scale(limit: f64, smoke: bool) {
-    type Variant = (&'static str, bool, bool, bool, Branching);
-    let all: [Variant; 6] = [
-        ("baseline", false, false, false, Branching::Rule),
-        ("cuts", true, false, false, Branching::Rule),
-        ("propagate", false, false, true, Branching::Rule),
-        ("rins", false, true, false, Branching::Rule),
-        ("pseudocost", false, false, false, Branching::Pseudocost),
-        ("full-stack", true, true, true, Branching::Pseudocost),
+    type Variant = (&'static str, bool, bool, Branching);
+    let all: [Variant; 5] = [
+        ("baseline", false, false, Branching::Rule),
+        ("cuts", true, false, Branching::Rule),
+        ("propagate", false, true, Branching::Rule),
+        ("pseudocost", false, false, Branching::Pseudocost),
+        ("full-stack", true, true, Branching::Pseudocost),
     ];
     let variants: Vec<Variant> = if smoke {
         all.iter()
@@ -1552,17 +1367,17 @@ fn scale(limit: f64, smoke: bool) {
         all.to_vec()
     };
     println!(
-        "Scale layer: g1-N3-L1 unguided under the cut-and-heuristic stack{}",
+        "Scale layer: g1-N3-L1 unguided under the scale stack{}",
         if smoke { " (smoke)" } else { "" }
     );
     println!(
-        "{:<12} {:>9} {:>7} {:>9} {:>5} {:>6} {:>5} {:>5} {:>5} {:>7}",
-        "variant", "wall(ms)", "nodes", "lp-iters", "cost", "cuts", "prop", "rins", "sb", "vs-base"
+        "{:<12} {:>9} {:>7} {:>9} {:>5} {:>6} {:>5} {:>5} {:>7}",
+        "variant", "wall(ms)", "nodes", "lp-iters", "cost", "cuts", "prop", "sb", "vs-base"
     );
     let mut json_rows: Vec<String> = Vec::new();
     let mut baseline: Option<(usize, Option<u64>)> = None;
     let mut full: Option<(usize, Option<u64>)> = None;
-    for (name, cuts, rins, propagate, branching) in variants {
+    for (name, cuts, propagate, branching) in variants {
         let cfg = RowConfig {
             graph_no: 1,
             ams: (2, 2, 1),
@@ -1572,11 +1387,9 @@ fn scale(limit: f64, smoke: bool) {
             device: date98_device(),
             seed_incumbent: false,
             threads: 1,
-            portfolio: false,
             pricing: Pricing::Dantzig,
             profile: false,
             cuts,
-            rins,
             propagate,
             branching,
             basis_update: BasisUpdate::Eta,
@@ -1602,7 +1415,7 @@ fn scale(limit: f64, smoke: bool) {
             .map(|(b, _)| row.nodes as f64 / b as f64);
         let s = row.stats.scale;
         println!(
-            "{:<12} {:>9.1} {:>7} {:>9} {:>5} {:>6} {:>5} {:>5} {:>5} {:>7}",
+            "{:<12} {:>9.1} {:>7} {:>9} {:>5} {:>6} {:>5} {:>5} {:>7}",
             name,
             wall_ms,
             row.nodes,
@@ -1610,18 +1423,16 @@ fn scale(limit: f64, smoke: bool) {
             row.cost.map_or("-".to_string(), |c| c.to_string()),
             s.cuts_applied,
             s.propagation_fixings + s.propagation_infeasible,
-            s.rins_incumbents,
             s.strong_branch_solves,
             vs_base.map_or("-".to_string(), |r| format!("{:.0}%", r * 100.0)),
         );
         json_rows.push(format!(
             "  {{\"variant\": \"{name}\", \"instance\": \"g1-N3-L1-unguided\", \
-             \"cuts\": {cuts}, \"rins\": {rins}, \"propagate\": {propagate}, \
+             \"cuts\": {cuts}, \"propagate\": {propagate}, \
              \"branching\": \"{}\", \"wall_ms\": {:.3}, \"nodes\": {}, \
              \"lp_iterations\": {}, \"cost\": {}, \
              \"cuts_separated\": {}, \"cuts_applied\": {}, \"cut_rounds\": {}, \
              \"propagation_fixings\": {}, \"propagation_infeasible\": {}, \
-             \"rins_runs\": {}, \"rins_incumbents\": {}, \"rins_nodes\": {}, \
              \"pseudocost_updates\": {}, \"strong_branch_solves\": {}, \
              \"nodes_vs_baseline\": {}}}",
             branching.as_str(),
@@ -1634,9 +1445,6 @@ fn scale(limit: f64, smoke: bool) {
             s.cut_rounds,
             s.propagation_fixings,
             s.propagation_infeasible,
-            s.rins_runs,
-            s.rins_incumbents,
-            s.rins_nodes,
             s.pseudocost_updates,
             s.strong_branch_solves,
             vs_base.map_or("null".to_string(), |r| format!("{r:.4}")),
@@ -1725,14 +1533,10 @@ fn race() {
     use tempart_lp::race_models;
     use tempart_race::explore::{Config, Report};
 
-    let scenarios: [(&str, fn(Config) -> Report); 5] = [
+    let scenarios: [(&str, fn(Config) -> Report); 4] = [
         ("deque_no_lost_items", race_models::deque_no_lost_items),
         ("seqlock_keeps_minimum", race_models::seqlock_keeps_minimum),
         ("rendezvous_terminates", race_models::rendezvous_terminates),
-        (
-            "stopflag_single_winner",
-            race_models::stopflag_single_winner,
-        ),
         (
             "proof_incomplete_join_edge",
             race_models::proof_incomplete_join_edge,

@@ -34,10 +34,6 @@ pub struct RowConfig {
     /// deterministic node counts, `0` = one per CPU). The faithful table
     /// reproductions run serial; the `parallel` experiment sweeps this.
     pub threads: usize,
-    /// Race the solver-configuration portfolio instead of parallelizing one
-    /// tree search (takes precedence over `threads`); the `portfolio`
-    /// experiment sets this.
-    pub portfolio: bool,
     /// Simplex pricing rule. The faithful table reproductions run the pinned
     /// `Dantzig` legacy engine; the `simplex` experiment sweeps this.
     pub pricing: Pricing,
@@ -48,9 +44,6 @@ pub struct RowConfig {
     /// faithful table reproductions — the golden node counts depend on it;
     /// the `scale` experiment sets this.
     pub cuts: bool,
-    /// Scheduler-driven RINS primal heuristic (Figure-2 list schedule as the
-    /// reference solution). Off for the faithful tables; `scale` sets it.
-    pub rins: bool,
     /// Node bound propagation before each LP solve. Off for the faithful
     /// tables; `scale` sets it.
     pub propagate: bool,
@@ -114,8 +107,7 @@ pub struct ExperimentRow {
     pub pricing: Pricing,
     /// Full solver statistics: the merged simplex profile (timers populated
     /// only when [`RowConfig::profile`] was set), the parallel scheduler's
-    /// contention counters, per-worker node/busy-time vectors, and the
-    /// portfolio winner.
+    /// contention counters, and per-worker node/busy-time vectors.
     pub stats: MipStats,
 }
 
@@ -181,9 +173,7 @@ pub fn run_row(cfg: &RowConfig) -> Result<ExperimentRow, CoreError> {
     let mut mip = MipOptions {
         time_limit_secs: cfg.time_limit_secs,
         threads: cfg.threads,
-        portfolio: cfg.portfolio,
         cuts: cfg.cuts,
-        rins: cfg.rins,
         propagate: cfg.propagate,
         branching: cfg.branching,
         ..MipOptions::default()
@@ -258,11 +248,9 @@ mod tests {
             device: date98_device(),
             seed_incumbent: true,
             threads: 1,
-            portfolio: false,
             pricing: Pricing::Dantzig,
             profile: false,
             cuts: false,
-            rins: false,
             propagate: false,
             branching: Branching::Rule,
             basis_update: BasisUpdate::Eta,

@@ -224,39 +224,6 @@ fn parallel_node_counts_stay_bounded_on_paper_rows() {
 }
 
 #[test]
-fn portfolio_race_agrees_on_paper_rows() {
-    // Racing the configuration portfolio decides each row exactly as the
-    // serial pins above — including proving infeasibility — and names the
-    // winning arm. The Paper-rule caller races five arms (guided ×
-    // Dantzig/devex, unguided Dantzig, most-fractional devex, and the
-    // guided Dantzig arm again under the scale layer's root cuts).
-    type Pin = ((u32, u32), MipStatus, Option<u64>);
-    let rows: [Pin; 3] = [
-        ((3, 0), MipStatus::Infeasible, None),
-        ((2, 2), MipStatus::Optimal, Some(5)),
-        ((2, 3), MipStatus::Optimal, Some(0)),
-    ];
-    for ((n, l), status, cost) in rows {
-        let inst = date98_instance(1, 2, 2, 1, date98_device()).unwrap();
-        let model = IlpModel::build(inst, ModelConfig::tightened(n, l)).unwrap();
-        let mut opts = SolveOptions::default();
-        opts.mip.portfolio = true;
-        let out = model.solve(&opts).unwrap();
-        assert_eq!(out.status, status, "N{n} L{l} status");
-        assert_eq!(
-            out.solution.as_ref().map(|s| s.communication_cost()),
-            cost,
-            "N{n} L{l} objective"
-        );
-        assert!(
-            out.stats.portfolio_winner.is_some(),
-            "N{n} L{l}: race must name a winner"
-        );
-        assert_eq!(out.stats.per_worker_nodes.len(), 5, "N{n} L{l} arm count");
-    }
-}
-
-#[test]
 fn flagship_row_counts_pinned() {
     // Exact pins for graph 1's Table 3 rows. If these move, the seeds or the
     // formulation changed — EXPERIMENTS.md must be regenerated.

@@ -2,10 +2,9 @@
 //!
 //! ```text
 //! tempart solve <spec.json> [--partitions N] [--latency L] [--time-limit SECS]
-//!               [--node-limit N] [--threads T] [--portfolio]
-//!               [--pricing dantzig|devex|bland]
-//!               [--basis-update eta|ft|ft-markowitz] [--refactor fixed|dynamic]
-//!               [--cuts] [--rins] [--propagate] [--branching rule|pseudocost]
+//!               [--node-limit N] [--threads T] [--pricing dantzig|devex]
+//!               [--basis-update eta|ft-markowitz] [--refactor fixed|dynamic]
+//!               [--cuts] [--propagate] [--branching rule|pseudocost]
 //!               [--scale K] [--faults PLAN] [--stats] [--certify] [--json]
 //! tempart estimate <spec.json>
 //! tempart simulate <spec.json> [--partitions N] [--latency L] [--threads T]
@@ -20,11 +19,6 @@
 //! proves the same optimum. Multi-worker runs print per-worker node counts
 //! and the scheduler's contention counters (steals, lock waits,
 //! copy-on-write basis clones, incumbent-exchange retries).
-//!
-//! `--portfolio` races complete solver configurations instead (the paper's
-//! guided rule plus unguided/diving rules, under both pricing engines),
-//! one serial solve per thread; the first conclusive finisher cancels the
-//! rest and is reported as the winner. Takes precedence over `--threads`.
 //!
 //! `--time-limit SECS` (alias `--limit`) and `--node-limit N` bound the
 //! search with anytime semantics: on expiry the best feasible answer found
@@ -47,14 +41,14 @@
 //!
 //! `--pricing` selects the simplex pricing rule (`dantzig` is the pinned
 //! legacy engine, `devex` the incremental engine with bound-flipping dual
-//! ratio test, `bland` the anti-cycling rule); every mode proves the same
-//! optimum. `--stats` enables the solver profiling layer and prints a
-//! per-phase simplex time/count breakdown after the solve.
+//! ratio test); both prove the same optimum. `--stats` enables the solver
+//! profiling layer and prints a per-phase simplex time/count breakdown
+//! after the solve.
 //!
 //! `--basis-update` selects the simplex basis-maintenance kernel (`eta` is
-//! the pinned legacy product-form eta file, `ft` Forrest–Tomlin updates
-//! applied directly to the `U` factor, `ft-markowitz` the same updates over
-//! a Markowitz-ordered refactorization) and `--refactor` the
+//! the pinned legacy product-form eta file, `ft-markowitz` Forrest–Tomlin
+//! updates applied directly to the `U` factor over a Markowitz-ordered
+//! refactorization) and `--refactor` the
 //! refactorization schedule (`fixed` legacy interval or the `dynamic`
 //! fill-in/stability trigger); every combination proves the same optimum.
 //!
@@ -67,12 +61,10 @@
 //! The scale layer is opt-in and off by default (the defaults preserve the
 //! pinned node counts bit for bit): `--cuts` runs root cover/clique cut
 //! separation (cut-and-branch), `--propagate` turns on node bound
-//! propagation, `--rins` seeds and runs the scheduler-driven RINS primal
-//! heuristic, and `--branching pseudocost` switches variable selection to
+//! propagation, and `--branching pseudocost` switches variable selection to
 //! pseudo-cost branching with strong-branching reliability initialization.
 //! Every combination proves the same optimum; `--stats` prints the scale
-//! counters (cuts, fixings, RINS runs, pseudo-cost updates) when any
-//! feature fired.
+//! counters (cuts, fixings, pseudo-cost updates) when any feature fired.
 //!
 //! * `solve` — run the full Figure-2 pipeline and print the optimal
 //!   partitioning, schedule, and solver statistics.
@@ -162,12 +154,10 @@ struct Args {
     json: bool,
     format: String,
     threads: usize,
-    portfolio: bool,
     pricing: Pricing,
     stats: bool,
     certify: bool,
     cuts: bool,
-    rins: bool,
     propagate: bool,
     branching: Branching,
     basis_update: BasisUpdate,
@@ -189,12 +179,10 @@ fn parse_args() -> Result<Args, String> {
         json: false,
         format: "lp".to_string(),
         threads: 1,
-        portfolio: false,
         pricing: Pricing::default(),
         stats: false,
         certify: false,
         cuts: false,
-        rins: false,
         propagate: false,
         branching: Branching::default(),
         basis_update: BasisUpdate::default(),
@@ -242,18 +230,16 @@ fn parse_args() -> Result<Args, String> {
                     .and_then(|v| v.parse().ok())
                     .ok_or("--threads takes a worker count (0 = all CPUs)")?
             }
-            "--portfolio" => args.portfolio = true,
             "--pricing" => {
                 args.pricing = it
                     .next()
                     .as_deref()
                     .and_then(Pricing::parse)
-                    .ok_or("--pricing takes dantzig, devex, or bland")?
+                    .ok_or("--pricing takes dantzig or devex")?
             }
             "--stats" => args.stats = true,
             "--certify" => args.certify = true,
             "--cuts" => args.cuts = true,
-            "--rins" => args.rins = true,
             "--propagate" => args.propagate = true,
             "--branching" => {
                 args.branching = it
@@ -267,7 +253,7 @@ fn parse_args() -> Result<Args, String> {
                     .next()
                     .as_deref()
                     .and_then(BasisUpdate::parse)
-                    .ok_or("--basis-update takes eta, ft, or ft-markowitz")?
+                    .ok_or("--basis-update takes eta or ft-markowitz")?
             }
             "--refactor" => {
                 args.refactor = it
@@ -320,15 +306,12 @@ fn json_summary(
         format!(
             ",\"scale\":{{\"cuts_separated\":{},\"cuts_applied\":{},\"cut_rounds\":{},\
              \"propagation_fixings\":{},\"propagation_infeasible\":{},\
-             \"rins_runs\":{},\"rins_incumbents\":{},\
              \"pseudocost_updates\":{},\"strong_branch_solves\":{}}}",
             s.cuts_separated,
             s.cuts_applied,
             s.cut_rounds,
             s.propagation_fixings,
             s.propagation_infeasible,
-            s.rins_runs,
-            s.rins_incumbents,
             s.pseudocost_updates,
             s.strong_branch_solves,
         )
@@ -463,9 +446,7 @@ fn run() -> Result<(), String> {
                 time_limit_secs: args.limit,
                 max_nodes: args.node_limit,
                 threads: args.threads,
-                portfolio: args.portfolio,
                 cuts: args.cuts,
-                rins: args.rins,
                 propagate: args.propagate,
                 branching: args.branching,
                 ..MipOptions::default()
@@ -478,8 +459,8 @@ fn run() -> Result<(), String> {
                 mip.lp.faults = Some(std::sync::Arc::new(FaultPlan::parse(plan)?));
             }
             // Pre-build the whole-command budget and attach it so every
-            // search layer (serial, work-stealing, portfolio arms) shares
-            // its cooperative stop flag; Ctrl-C trips it for a graceful
+            // search layer (serial, work-stealing) shares its cooperative
+            // stop flag; Ctrl-C trips it for a graceful
             // anytime exit. On an automatic latency sweep the budget — and
             // hence `--time-limit` — now covers the whole sweep rather
             // than each attempt separately.
@@ -558,12 +539,7 @@ fn run() -> Result<(), String> {
                             }
                         );
                     }
-                    if let Some(w) = &out.stats.portfolio_winner {
-                        println!(
-                            "portfolio: winner {w}; arms {:?} nodes",
-                            out.stats.per_worker_nodes
-                        );
-                    } else if out.stats.per_worker_nodes.len() > 1 {
+                    if out.stats.per_worker_nodes.len() > 1 {
                         println!(
                             "workers: {:?} nodes; {}",
                             out.stats.per_worker_nodes,
@@ -637,9 +613,6 @@ fn run() -> Result<(), String> {
                             result.source().as_str()
                         );
                     }
-                    if let Some(w) = &result.mip_stats().portfolio_winner {
-                        println!("portfolio: winner {w}");
-                    }
                     if args.stats {
                         println!("{}", result.mip_stats().simplex.report());
                         if !result.mip_stats().scale.is_empty() {
@@ -705,7 +678,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("usage: tempart <solve|estimate|simulate|dot|example> [spec.json] [--partitions N] [--latency L] [--time-limit SECS] [--node-limit N] [--threads T] [--portfolio] [--pricing dantzig|devex|bland] [--basis-update eta|ft|ft-markowitz] [--refactor fixed|dynamic] [--cuts] [--rins] [--propagate] [--branching rule|pseudocost] [--scale K] [--faults PLAN] [--stats] [--certify] [--json]");
+            eprintln!("usage: tempart <solve|estimate|simulate|dot|example> [spec.json] [--partitions N] [--latency L] [--time-limit SECS] [--node-limit N] [--threads T] [--pricing dantzig|devex] [--basis-update eta|ft-markowitz] [--refactor fixed|dynamic] [--cuts] [--propagate] [--branching rule|pseudocost] [--scale K] [--faults PLAN] [--stats] [--certify] [--json]");
             ExitCode::FAILURE
         }
     }

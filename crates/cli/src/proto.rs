@@ -17,7 +17,7 @@
 //!
 //! | `type` | fields |
 //! |---|---|
-//! | `solve` | `spec` (embedded specification object), optional `partitions` + `latency_relaxation` (explicit config; omitted → automatic estimate + sweep), optional `time_limit_secs` / `node_limit` / `pivot_limit` budget caps, option flags `threads`, `portfolio`, `cuts`, `propagate`, `rins`, `branching`, `progress` (stream progress frames), `warm_start` (consult the server cache) |
+//! | `solve` | `spec` (embedded specification object), optional `partitions` + `latency_relaxation` (explicit config; omitted → automatic estimate + sweep), optional `time_limit_secs` / `node_limit` / `pivot_limit` budget caps, option flags `threads`, `cuts`, `propagate`, `branching`, `progress` (stream progress frames), `warm_start` (consult the server cache). The decoder ignores the `portfolio` and `rins` keys that older clients send: such a request gets the same proven optimum as one without them |
 //! | `ping` | — |
 //! | `shutdown` | — (graceful drain: in-flight jobs finish on the anytime path) |
 //!
@@ -130,14 +130,10 @@ pub struct SolveParams {
     pub pivot_limit: Option<u64>,
     /// Worker threads inside the solve (server-clamped; default 1).
     pub threads: Option<u64>,
-    /// Portfolio racing (see `tempart solve --portfolio`).
-    pub portfolio: bool,
     /// Root cutting planes.
     pub cuts: bool,
     /// Node bound propagation.
     pub propagate: bool,
-    /// Scheduler-driven RINS.
-    pub rins: bool,
     /// Branching strategy name (`rule` / `pseudocost`).
     pub branching: Option<String>,
     /// Stream `progress` frames while the job runs.
@@ -297,10 +293,8 @@ impl Request {
                     }
                 }
                 for (key, flag) in [
-                    ("portfolio", params.portfolio),
                     ("cuts", params.cuts),
                     ("propagate", params.propagate),
-                    ("rins", params.rins),
                     ("progress", params.progress),
                     ("warm_start", params.warm_start),
                 ] {
@@ -349,10 +343,8 @@ impl Request {
                     node_limit: get_u64(&v, "node_limit"),
                     pivot_limit: get_u64(&v, "pivot_limit"),
                     threads: get_u64(&v, "threads"),
-                    portfolio: get_bool(&v, "portfolio"),
                     cuts: get_bool(&v, "cuts"),
                     propagate: get_bool(&v, "propagate"),
-                    rins: get_bool(&v, "rins"),
                     branching: get_str(&v, "branching"),
                     progress: get_bool(&v, "progress"),
                     warm_start: get_bool(&v, "warm_start"),
@@ -521,10 +513,8 @@ mod tests {
                 node_limit: Some(1000),
                 pivot_limit: None,
                 threads: Some(2),
-                portfolio: true,
                 cuts: true,
                 propagate: false,
-                rins: false,
                 branching: Some("pseudocost".to_string()),
                 progress: true,
                 warm_start: true,
@@ -547,6 +537,30 @@ mod tests {
             Request::from_json(r#"{"type":"shutdown"}"#).unwrap(),
             Request::Shutdown
         ));
+    }
+
+    #[test]
+    fn retired_option_keys_are_ignored() {
+        // Older clients may still send `portfolio` / `rins`; the decoder
+        // skips them and the job runs with the remaining options.
+        let params = SolveParams {
+            config: Some((2, 1)),
+            cuts: true,
+            ..SolveParams::default()
+        };
+        let req = Request::Solve {
+            spec: SpecFile::example(),
+            params: params.clone(),
+        };
+        let json = req.to_json();
+        let legacy = format!(
+            r#"{},"portfolio":true,"rins":true}}"#,
+            json.strip_suffix('}').unwrap()
+        );
+        let Request::Solve { params: got, .. } = Request::from_json(&legacy).unwrap() else {
+            panic!("wrong variant");
+        };
+        assert_eq!(got, params);
     }
 
     #[test]

@@ -117,7 +117,6 @@ fn solve_scale_flags_prove_the_same_optimum() {
             "--latency",
             "1",
             "--cuts",
-            "--rins",
             "--propagate",
             "--branching",
             "pseudocost",
@@ -147,6 +146,31 @@ fn solve_scale_flags_prove_the_same_optimum() {
         stderr.contains("--branching takes rule or pseudocost"),
         "{stderr}"
     );
+
+    // Retired solver paths are refused by the parser, not silently ignored.
+    for (flags, message) in [
+        (&["--portfolio"][..], "unexpected argument `--portfolio`"),
+        (&["--rins"][..], "unexpected argument `--rins`"),
+        (
+            &["--pricing", "bland"][..],
+            "--pricing takes dantzig or devex",
+        ),
+        (
+            &["--basis-update", "ft"][..],
+            "--basis-update takes eta or ft-markowitz",
+        ),
+    ] {
+        let out = tempart()
+            .arg("solve")
+            .arg(&spec)
+            .args(["--partitions", "2"])
+            .args(flags)
+            .output()
+            .expect("run solve with a retired flag");
+        assert!(!out.status.success(), "{flags:?} must be refused");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{flags:?}: {stderr}");
+    }
 }
 
 #[test]

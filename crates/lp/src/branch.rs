@@ -171,12 +171,6 @@ pub(crate) fn is_fractional(v: f64, tol: f64) -> bool {
 pub(crate) const PSEUDOCOST_RELIABILITY: usize = 8;
 /// Strong-branching candidates bootstrapped at the root.
 const STRONG_BRANCH_TOP_K: usize = 8;
-/// Node cap on the RINS sub-MIP.
-const RINS_NODE_CAP: usize = 2_000;
-/// Pivot cap on the RINS sub-MIP.
-const RINS_ITER_CAP: usize = 50_000;
-/// Wall-clock cap (seconds) on the RINS sub-MIP.
-const RINS_TIME_CAP: f64 = 5.0;
 
 /// Statistics of a branch-and-bound run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -194,8 +188,7 @@ pub struct MipStats {
     /// Wall-clock seconds.
     pub seconds: f64,
     /// Nodes solved by each worker (one entry per worker; a single entry
-    /// equal to `nodes` for the serial solver). In portfolio mode, nodes
-    /// solved by each racing arm.
+    /// equal to `nodes` for the serial solver).
     pub per_worker_nodes: Vec<usize>,
     /// Wall-clock seconds each worker spent processing nodes, as opposed to
     /// hunting for work (one entry per worker; equal to `seconds` for the
@@ -205,16 +198,13 @@ pub struct MipStats {
     /// Contention counters of the work-stealing parallel scheduler (all
     /// zero for the serial solver); see [`ContentionProfile`].
     pub contention: ContentionProfile,
-    /// Name of the configuration that won a portfolio race (`None` unless
-    /// [`MipOptions::portfolio`](crate::MipOptions) was set).
-    pub portfolio_winner: Option<String>,
     /// Merged simplex profile of every node LP solved during the search
     /// (counters always; section timers only with
     /// [`LpOptions::profile`](crate::LpOptions::profile)).
     pub simplex: SimplexProfile,
-    /// Counters of the cut-and-heuristic scale layer (cut separation, node
-    /// propagation, RINS, pseudo-cost branching); all zero with the
-    /// features off. See [`ScaleProfile`].
+    /// Counters of the scale layer (cut separation, node propagation,
+    /// pseudo-cost branching); all zero with the features off. See
+    /// [`ScaleProfile`].
     pub scale: ScaleProfile,
 }
 
@@ -336,29 +326,19 @@ impl<'a> BranchAndBound<'a> {
 
     /// Runs the search.
     ///
-    /// With [`MipOptions::portfolio`](crate::MipOptions) set, a small set of
-    /// solver configurations race as independent serial solves (see the
-    /// `portfolio` module docs). Otherwise, with [`MipOptions::threads`]
-    /// above one (or zero, meaning one worker per CPU) the node search runs
-    /// on a work-stealing worker team; the returned objective and status
-    /// are the same as the serial solver's, but node counts vary run to
-    /// run. See `parallel` module docs.
+    /// With [`MipOptions::threads`] above one (or zero, meaning one worker
+    /// per CPU) the node search runs on a work-stealing worker team; the
+    /// returned objective and status are the same as the serial solver's,
+    /// but node counts vary run to run. See `parallel` module docs.
     ///
     /// # Errors
     ///
     /// Propagates unrecoverable LP failures
     /// ([`LpError::IterationLimit`], [`LpError::SingularBasis`]).
     pub fn solve(&self) -> Result<MipSolution, LpError> {
-        if self.options.portfolio {
-            return crate::portfolio::solve_portfolio(
-                self.problem,
-                &self.options,
-                self.rule.as_ref(),
-            );
-        }
         let workers = resolve_threads(self.options.threads);
         if workers > 1 {
-            // Root preparation (cut loop + RINS) runs serially before the
+            // Root preparation (the cut loop) runs serially before the
             // worker team spawns; the workers then search the strengthened
             // problem. A no-op (features off) dispatches directly.
             let budget = external_or_new_budget(&self.options);
@@ -372,7 +352,7 @@ impl<'a> BranchAndBound<'a> {
                 Some(prep) => {
                     let mut sol = crate::parallel::solve_parallel(
                         &prep.problem,
-                        &prep.opts,
+                        &self.options,
                         self.rule.as_ref(),
                         workers,
                     )?;
@@ -411,12 +391,12 @@ pub(crate) fn external_or_new_budget(opts: &MipOptions) -> Arc<Budget> {
 /// The exact depth-first serial algorithm (`threads == 1`): node visit
 /// order, node counts, and the incumbent are fully deterministic.
 ///
-/// The budget is injected so a portfolio race can cancel this solve
+/// The budget is injected so an outside owner can cancel this solve
 /// cooperatively ([`Budget::request_stop`] surfaces as a truthful
 /// [`MipStatus::TimeLimit`]); a plain serial solve passes a budget nothing
 /// else holds, making the stop check dead and the search bit-identical to
-/// the pre-portfolio solver.
-pub(crate) fn solve_serial(
+/// the golden pins.
+fn solve_serial(
     problem: &Problem,
     opts: &MipOptions,
     rule: &(dyn BranchingRule + Sync),
@@ -482,10 +462,10 @@ pub(crate) fn solve_serial(
                 break;
             }
             if budget.stop_requested() {
-                // A portfolio peer finished first and cancelled this arm;
-                // stop truthfully as a limit, keeping the incumbent and the
-                // proven bound. Never taken outside a race: nothing else
-                // holds this solve's budget.
+                // The budget's owner (a draining server, a Ctrl-C handler)
+                // cancelled the search; stop truthfully as a limit, keeping
+                // the incumbent and the proven bound. Never taken when
+                // nothing else holds this solve's budget.
                 status = MipStatus::TimeLimit;
                 stack.push(node);
                 break;
@@ -769,163 +749,44 @@ pub(crate) fn validate_incumbent(
     }
 }
 
-/// Root preparation artifacts: the (possibly cut-strengthened) problem and
-/// the options to search it with (possibly carrying a RINS incumbent), plus
-/// the accounting the caller must absorb into its stats.
+/// Root preparation artifacts: the cut-strengthened problem plus the
+/// accounting the caller must absorb into its stats.
 pub(crate) struct Prepared {
     pub(crate) problem: Problem,
-    pub(crate) opts: MipOptions,
     pub(crate) scale: ScaleProfile,
     pub(crate) lp_iterations: usize,
 }
 
 /// Runs the root scale layer: the cutting-plane loop strengthens the
 /// relaxation (extra `≤` rows only — the variable space is unchanged, so
-/// solution vectors and incumbents keep their meaning), and the RINS
-/// heuristic turns the scheduler reference into a seeded incumbent via a
-/// budgeted sub-MIP.
+/// solution vectors and incumbents keep their meaning).
 ///
-/// Returns `None` fast when both features are off: the golden features-off
-/// path never even clones the problem.
+/// Returns `None` fast when cuts are off: the golden features-off path
+/// never even clones the problem.
 pub(crate) fn prepare_root(
     problem: &Problem,
     opts: &MipOptions,
     budget: &Arc<Budget>,
 ) -> Result<Option<Prepared>, LpError> {
-    if !opts.cuts && !opts.rins {
+    if !opts.cuts {
         return Ok(None);
     }
     let mut scale = ScaleProfile::default();
-    let mut lp_iterations = 0usize;
-    let mut root_x: Option<Vec<f64>> = None;
-    let mut prepared = problem.clone();
-    if opts.cuts {
-        let res = cuts::root_cut_loop(problem, &opts.lp, opts.int_tol, budget, &mut scale)?;
-        prepared = res.problem;
-        root_x = res.root_x;
-        lp_iterations += res.lp_iterations;
-    }
-    let mut prep_opts = opts.clone();
-    if opts.rins {
-        lp_iterations += rins(&prepared, opts, &mut prep_opts, root_x, budget, &mut scale)?;
-    }
+    let res = cuts::root_cut_loop(problem, &opts.lp, opts.int_tol, budget, &mut scale)?;
     // Root work counts against the same global pivot budget as the search.
-    budget.add_lp_iterations(lp_iterations);
+    budget.add_lp_iterations(res.lp_iterations);
     Ok(Some(Prepared {
-        problem: prepared,
-        opts: prep_opts,
+        problem: res.problem,
         scale,
-        lp_iterations,
+        lp_iterations: res.lp_iterations,
     }))
 }
 
-/// RINS: relaxation-induced neighborhood search driven by an external
-/// reference solution (the Figure-2 list schedule, encoded by the caller
-/// into [`MipOptions::rins_reference`]). Binaries where the root LP is
-/// integral *and* agrees with the reference are fixed; the remaining
-/// neighborhood is searched by a budgeted features-off sub-MIP seeded with
-/// the reference. The best point found becomes the main search's initial
-/// incumbent. Returns the LP iterations spent.
-fn rins(
-    prepared: &Problem,
-    opts: &MipOptions,
-    prep_opts: &mut MipOptions,
-    root_x: Option<Vec<f64>>,
-    budget: &Arc<Budget>,
-    scale: &mut ScaleProfile,
-) -> Result<usize, LpError> {
-    let mut iters = 0usize;
-    // Validate the reference exactly as the search validates an incumbent
-    // (against the *strengthened* problem: cuts keep every integer point).
-    let reference_opts = MipOptions {
-        initial_incumbent: opts.rins_reference.clone(),
-        ..opts.clone()
-    };
-    let Some((ref_x, ref_obj)) = validate_incumbent(prepared, &reference_opts, prepared.num_vars())
-    else {
-        return Ok(0); // no usable reference: RINS is a no-op
-    };
-    scale.rins_runs += 1;
-    // Root LP point: reuse the cut loop's, else solve one fresh.
-    let root = match root_x {
-        Some(x) => Some(x),
-        None => {
-            let mut lp_opts = opts.lp.clone();
-            lp_opts.budget = Some(Arc::clone(budget));
-            match crate::simplex::solve_lp(prepared, &lp_opts) {
-                Ok(out) => {
-                    iters += out.iterations;
-                    (out.status == LpStatus::Optimal).then_some(out.x)
-                }
-                Err(_) => None,
-            }
-        }
-    };
-    // Fix binaries where LP relaxation and reference agree on an integer.
-    let mut sub = prepared.clone();
-    let mut fixed = 0usize;
-    if let Some(root) = &root {
-        for v in prepared.var_ids() {
-            if prepared.var_kind(v) != VarKind::Binary {
-                continue;
-            }
-            let lp_val = root[v.index()];
-            if !is_fractional(lp_val, opts.int_tol)
-                && (lp_val.round() - ref_x[v.index()].round()).abs() < 0.5
-            {
-                let val = ref_x[v.index()].round();
-                sub.set_bounds(v, val, val)?;
-                fixed += 1;
-            }
-        }
-    }
-    let mut best = (ref_x.clone(), ref_obj);
-    if fixed > 0 {
-        let sub_opts = MipOptions {
-            cuts: false,
-            propagate: false,
-            rins: false,
-            rins_reference: None,
-            branching: Branching::Rule,
-            portfolio: false,
-            threads: 1,
-            initial_incumbent: Some(ref_x.clone()),
-            max_nodes: RINS_NODE_CAP,
-            max_lp_iterations: RINS_ITER_CAP,
-            time_limit_secs: RINS_TIME_CAP.min(budget.remaining_secs()),
-            ..opts.clone()
-        };
-        let sub_budget = Arc::new(Budget::new(
-            sub_opts.time_limit_secs,
-            sub_opts.max_nodes,
-            sub_opts.max_lp_iterations,
-        ));
-        if let Ok(sol) = solve_serial(&sub, &sub_opts, &MostFractionalRule, sub_budget) {
-            scale.rins_nodes += sol.stats.nodes;
-            iters += sol.stats.lp_iterations;
-            if sol.status.may_have_solution()
-                && !sol.x.is_empty()
-                && sol.objective < best.1 - opts.abs_gap
-            {
-                scale.rins_incumbents += 1;
-                best = (sol.x, sol.objective);
-            }
-        }
-    }
-    // Seed the main search, unless the caller's own incumbent already beats
-    // everything RINS produced.
-    let existing = validate_incumbent(prepared, opts, prepared.num_vars());
-    if existing.as_ref().is_none_or(|(_, obj)| best.1 < *obj) {
-        prep_opts.initial_incumbent = Some(best.0);
-    }
-    Ok(iters)
-}
-
-/// Serial solve behind root preparation: the cut loop and RINS run first
-/// (when enabled), then the exact serial search runs on the prepared
+/// Serial solve behind root preparation: the cut loop runs first (when
+/// enabled), then the exact serial search runs on the prepared
 /// problem. With the features off this is the unmodified [`solve_serial`] —
 /// the golden node/iteration pins are bit-identical.
-pub(crate) fn solve_serial_prepared(
+fn solve_serial_prepared(
     problem: &Problem,
     opts: &MipOptions,
     rule: &(dyn BranchingRule + Sync),
@@ -934,7 +795,7 @@ pub(crate) fn solve_serial_prepared(
     match prepare_root(problem, opts, &budget)? {
         None => solve_serial(problem, opts, rule, budget),
         Some(prep) => {
-            let mut sol = solve_serial(&prep.problem, &prep.opts, rule, budget)?;
+            let mut sol = solve_serial(&prep.problem, opts, rule, budget)?;
             sol.stats.lp_iterations += prep.lp_iterations;
             sol.stats.scale.absorb(&prep.scale);
             Ok(sol)
@@ -1273,7 +1134,7 @@ mod tests {
 
     #[test]
     fn full_scale_stack_proves_the_same_optimum() {
-        // Cuts + propagation + RINS + pseudo-cost together must agree with
+        // Cuts + propagation + pseudo-cost together must agree with
         // the features-off solver and surface their work in the counters.
         let p = knapsack(
             &[6.0, 5.0, 9.0, 7.0, 3.0, 4.0],
@@ -1285,8 +1146,6 @@ mod tests {
         let opts = MipOptions {
             cuts: true,
             propagate: true,
-            rins: true,
-            rins_reference: Some(vec![1.0, 0.0, 1.0, 0.0, 1.0, 0.0]),
             branching: Branching::Pseudocost,
             objective_is_integral: true,
             ..MipOptions::default()
@@ -1299,7 +1158,6 @@ mod tests {
             out.objective,
             base.objective
         );
-        assert!(out.stats.scale.rins_runs >= 1, "{:?}", out.stats.scale);
     }
 
     #[test]
@@ -1316,33 +1174,6 @@ mod tests {
         // The fractional knapsack root must trigger at least one round.
         assert!(out.stats.scale.cut_rounds >= 1, "{:?}", out.stats.scale);
         assert!(out.stats.scale.cuts_applied >= 1, "{:?}", out.stats.scale);
-    }
-
-    #[test]
-    fn rins_adopts_the_reference_as_incumbent() {
-        // Reference = the true optimum: RINS must install it, so the search
-        // starts with a seeded incumbent (visible as an extra update).
-        let p = knapsack(&[10.0, 13.0, 7.0, 8.0], &[3.0, 4.0, 2.0, 3.0], 7.0);
-        let opts = MipOptions {
-            rins: true,
-            rins_reference: Some(vec![1.0, 1.0, 0.0, 0.0]),
-            ..MipOptions::default()
-        };
-        let out = BranchAndBound::new(&p).options(opts).solve().unwrap();
-        assert_eq!(out.status, MipStatus::Optimal);
-        assert!((out.objective - (-23.0)).abs() < 1e-6);
-        assert_eq!(out.stats.scale.rins_runs, 1);
-        // An infeasible reference is ignored (weight 12 > 7): no crash, no
-        // bogus incumbent.
-        let opts = MipOptions {
-            rins: true,
-            rins_reference: Some(vec![1.0, 1.0, 1.0, 1.0]),
-            ..MipOptions::default()
-        };
-        let out = BranchAndBound::new(&p).options(opts).solve().unwrap();
-        assert_eq!(out.status, MipStatus::Optimal);
-        assert!((out.objective - (-23.0)).abs() < 1e-6);
-        assert_eq!(out.stats.scale.rins_runs, 0, "unusable reference skipped");
     }
 
     #[test]
@@ -1401,7 +1232,7 @@ mod tests {
 
     #[test]
     fn scale_features_agree_across_drivers() {
-        // Serial, work-stealing parallel, and portfolio must all prove the
+        // Serial and work-stealing parallel must both prove the
         // same optimum with the scale stack enabled.
         let p = knapsack(
             &[6.0, 5.0, 9.0, 7.0, 3.0, 4.0],
@@ -1420,20 +1251,10 @@ mod tests {
             .solve()
             .unwrap();
         let par = BranchAndBound::new(&p)
-            .options(MipOptions {
-                threads: 2,
-                ..base.clone()
-            })
+            .options(MipOptions { threads: 2, ..base })
             .solve()
             .unwrap();
-        let race = BranchAndBound::new(&p)
-            .options(MipOptions {
-                portfolio: true,
-                ..base
-            })
-            .solve()
-            .unwrap();
-        for out in [&serial, &par, &race] {
+        for out in [&serial, &par] {
             assert_eq!(out.status, MipStatus::Optimal);
             assert!((out.objective - bobj).abs() < 1e-6);
         }

@@ -378,10 +378,6 @@ pub(crate) struct CutLoopResult {
     /// The problem strengthened by the surviving pool (identical variable
     /// set; extra `≤` rows only).
     pub(crate) problem: Problem,
-    /// Last root LP optimum over the structural variables (`None` when the
-    /// root LP did not solve to optimality — infeasible, unbounded, or an
-    /// LP error, all of which the main search re-discovers and reports).
-    pub(crate) root_x: Option<Vec<f64>>,
     /// Simplex iterations spent by the loop (root resolves + probe dives).
     pub(crate) lp_iterations: usize,
 }
@@ -482,11 +478,10 @@ pub(crate) fn root_cut_loop(
                 }
                 if added > 0 {
                     current = apply_pool(problem, &pool)?;
+                    // Re-solve over the final pool; its pivots are charged
+                    // to the root work like every other loop LP.
                     if let Ok(out) = solve_lp(&current, &opts) {
                         iters += out.iterations;
-                        if out.status == LpStatus::Optimal {
-                            root_x = Some(out.x);
-                        }
                     }
                 }
             }
@@ -496,7 +491,6 @@ pub(crate) fn root_cut_loop(
     scale.cuts_applied += pool.len();
     Ok(CutLoopResult {
         problem: current,
-        root_x,
         lp_iterations: iters,
     })
 }

@@ -19,9 +19,6 @@ pub enum Pricing {
     /// ratio test. The fast engine; proves the same optima as Dantzig but
     /// with its own pivot sequence.
     Devex,
-    /// Bland's smallest-index rule on the incremental engine. Slow but
-    /// cycling-proof; mainly a debugging fallback.
-    Bland,
 }
 
 impl Pricing {
@@ -30,7 +27,6 @@ impl Pricing {
         match self {
             Pricing::Dantzig => "dantzig",
             Pricing::Devex => "devex",
-            Pricing::Bland => "bland",
         }
     }
 
@@ -39,7 +35,6 @@ impl Pricing {
         match s.to_ascii_lowercase().as_str() {
             "dantzig" => Some(Pricing::Dantzig),
             "devex" => Some(Pricing::Devex),
-            "bland" => Some(Pricing::Bland),
             _ => None,
         }
     }
@@ -60,15 +55,13 @@ pub enum BasisUpdate {
     /// sequence, so it is the default.
     #[default]
     Eta,
-    /// Forrest–Tomlin updates applied directly to the `U` factor: each pivot
-    /// replaces a `U` column with the spike and eliminates the spiked row
-    /// into a short row eta, so solve cost tracks the (slowly growing) `U`
-    /// fill instead of the eta-file length. Same optima, different float
+    /// Forrest–Tomlin updates applied directly to the `U` factor over a
+    /// Markowitz-ordered refactorization: each pivot replaces a `U` column
+    /// with the spike and eliminates the spiked row into a short row eta,
+    /// so solve cost tracks the (slowly growing) `U` fill instead of the
+    /// eta-file length, and the Markowitz pivots (chosen by fill-in ×
+    /// stability) keep that fill small. Same optima, different float
     /// rounding, hence opt-in.
-    Ft,
-    /// Forrest–Tomlin updates over a Markowitz-ordered refactorization
-    /// (pivots chosen by fill-in × stability instead of pure partial
-    /// pivoting), minimizing the `U` fill the updates have to drag along.
     FtMarkowitz,
 }
 
@@ -77,7 +70,6 @@ impl BasisUpdate {
     pub fn as_str(self) -> &'static str {
         match self {
             BasisUpdate::Eta => "eta",
-            BasisUpdate::Ft => "ft",
             BasisUpdate::FtMarkowitz => "ft-markowitz",
         }
     }
@@ -86,7 +78,6 @@ impl BasisUpdate {
     pub fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
             "eta" => Some(BasisUpdate::Eta),
-            "ft" => Some(BasisUpdate::Ft),
             "ft-markowitz" => Some(BasisUpdate::FtMarkowitz),
             _ => None,
         }
@@ -282,16 +273,6 @@ pub struct MipOptions {
     /// objective — only node/steal counts and the incumbent's tie-broken
     /// argmin may vary above one thread.
     pub threads: usize,
-    /// Portfolio racing mode: instead of parallelizing one tree search,
-    /// race a small set of solver configurations (the caller's branching
-    /// rule and the built-in unguided/diving rules, each under Dantzig and
-    /// devex pricing) as independent serial solves, one thread per arm.
-    /// The first arm to finish conclusively cancels the rest through its
-    /// peers' cooperative [`Budget`]s; losers stop with truthful
-    /// limit-style statuses. Every arm is the exact serial algorithm, so
-    /// the proven optimum is deterministic even though the winning arm is
-    /// a wall-clock race. Takes precedence over [`MipOptions::threads`].
-    pub portfolio: bool,
     /// Cut-and-branch: separate lifted cover and clique cuts from fractional
     /// LP points at the root (multi-round, with shallow probe dives) and
     /// solve the search over the cut-strengthened problem. Off by default —
@@ -301,17 +282,6 @@ pub struct MipOptions {
     /// fixing binaries and detecting infeasibility without a simplex solve.
     /// Off by default.
     pub propagate: bool,
-    /// RINS-style primal heuristic at the root: fix the binaries on which
-    /// the root LP relaxation and [`MipOptions::rins_reference`] agree,
-    /// solve the restricted sub-MIP under a small budget, and adopt an
-    /// improved incumbent. Off by default; a no-op without a reference.
-    pub rins: bool,
-    /// Integer-feasible reference point for RINS (full variable assignment
-    /// in problem order). The caller supplies it — for the temporal
-    /// partitioner this is the encoded Figure-2 list schedule, which lets
-    /// the scheduler *drive* incumbents even on unseeded runs. Validated
-    /// like [`MipOptions::initial_incumbent`]; an invalid point is ignored.
-    pub rins_reference: Option<Vec<f64>>,
     /// Branching-variable selection (see [`Branching`]). The default
     /// [`Branching::Rule`] is the pinned static-rule path.
     pub branching: Branching,
@@ -335,11 +305,8 @@ impl Default for MipOptions {
             abs_gap: 1e-9,
             initial_incumbent: None,
             threads: 1,
-            portfolio: false,
             cuts: false,
             propagate: false,
-            rins: false,
-            rins_reference: None,
             branching: Branching::Rule,
             progress: None,
         }
@@ -373,12 +340,10 @@ mod tests {
         assert!(mip.time_limit_secs.is_infinite());
         assert_eq!(mip.max_lp_iterations, usize::MAX, "pivot budget off");
         assert_eq!(mip.threads, 1, "serial by default");
-        assert!(!mip.portfolio, "racing is opt-in");
         assert!(
-            !mip.cuts && !mip.propagate && !mip.rins,
+            !mip.cuts && !mip.propagate,
             "the scale features are opt-in — the pins depend on it"
         );
-        assert!(mip.rins_reference.is_none());
         assert_eq!(mip.branching, Branching::Rule, "pinned static rule");
         assert!(
             lp.faults.is_none() && lp.budget.is_none() && mip.progress.is_none(),
@@ -388,22 +353,24 @@ mod tests {
 
     #[test]
     fn pricing_names_roundtrip() {
-        for p in [Pricing::Dantzig, Pricing::Devex, Pricing::Bland] {
+        for p in [Pricing::Dantzig, Pricing::Devex] {
             assert_eq!(Pricing::parse(p.as_str()), Some(p));
             assert_eq!(Pricing::parse(&p.as_str().to_uppercase()), Some(p));
             assert_eq!(format!("{p}"), p.as_str());
         }
         assert_eq!(Pricing::parse("steepest"), None);
+        assert_eq!(Pricing::parse("bland"), None);
     }
 
     #[test]
     fn basis_update_names_roundtrip() {
-        for b in [BasisUpdate::Eta, BasisUpdate::Ft, BasisUpdate::FtMarkowitz] {
+        for b in [BasisUpdate::Eta, BasisUpdate::FtMarkowitz] {
             assert_eq!(BasisUpdate::parse(b.as_str()), Some(b));
             assert_eq!(BasisUpdate::parse(&b.as_str().to_uppercase()), Some(b));
             assert_eq!(format!("{b}"), b.as_str());
         }
         assert_eq!(BasisUpdate::parse("bartels-golub"), None);
+        assert_eq!(BasisUpdate::parse("ft"), None);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The basis is maintained behind [`BasisRepr`]: either a sparse LU
 //! factorization ([`crate::lu::LuFactors`]) plus a product-form eta file
 //! (the pinned legacy default), or Forrest–Tomlin-updated factors
-//! ([`crate::ft::FtFactors`], [`BasisUpdate::Ft`]/[`BasisUpdate::FtMarkowitz`]).
+//! ([`crate::ft::FtFactors`], [`BasisUpdate::FtMarkowitz`]).
 //! The factorization is rebuilt every [`LpOptions::refactor_every`] pivots
 //! under the fixed schedule, or when measured fill-in growth crosses a
 //! threshold under [`RefactorSchedule::Dynamic`].
@@ -125,11 +125,6 @@ fn build_basis(core: &CoreLp, basic: &[usize], opts: &LpOptions) -> Result<Basis
             lu: LuFactors::factorize(&core.a, basic, opts.pivot_tol)?,
             etas: Vec::new(),
         },
-        BasisUpdate::Ft => BasisRepr::Ft(FtFactors::from_lu(LuFactors::factorize(
-            &core.a,
-            basic,
-            opts.pivot_tol,
-        )?)),
         BasisUpdate::FtMarkowitz => BasisRepr::Ft(FtFactors::factorize_markowitz(
             &core.a,
             basic,
@@ -217,6 +212,10 @@ struct Simplex<'a> {
     profile: SimplexProfile,
     /// Section timers enabled ([`LpOptions::profile`]).
     timers: bool,
+    /// Bland's smallest-index rule on the incremental engine, whatever
+    /// [`LpOptions::pricing`] says. Only the cycling-proof rungs of the
+    /// cold retry ladder ([`solve_core_cold`]) set it.
+    bland: bool,
 }
 
 impl<'a> Simplex<'a> {
@@ -578,12 +577,12 @@ impl<'a> Simplex<'a> {
     /// short at zero infeasibility instead of stalling on degenerate pivots.
     ///
     /// Dispatch: [`Pricing::Dantzig`] runs the legacy full-pricing engine
-    /// whose pivot sequence is pinned by golden tests; devex and Bland run
-    /// the incremental engine.
+    /// whose pivot sequence is pinned by golden tests; devex and the
+    /// ladder's forced Bland rule run the incremental engine.
     fn primal(&mut self, costs: &[f64], stop_at: Option<f64>) -> Result<LpStatus, LpError> {
         match self.opts.pricing {
-            Pricing::Dantzig => self.primal_dantzig(costs, stop_at),
-            Pricing::Devex | Pricing::Bland => self.primal_incremental(costs, stop_at),
+            Pricing::Dantzig if !self.bland => self.primal_dantzig(costs, stop_at),
+            _ => self.primal_incremental(costs, stop_at),
         }
     }
 
@@ -815,8 +814,8 @@ impl<'a> Simplex<'a> {
         best.map(|(j, _)| j)
     }
 
-    /// Incremental-pricing primal engine behind [`Pricing::Devex`] and
-    /// [`Pricing::Bland`].
+    /// Incremental-pricing primal engine behind [`Pricing::Devex`] and the
+    /// retry ladder's Bland rungs.
     ///
     /// Differences from the legacy Dantzig engine:
     /// * reduced costs are updated from the pivot row `αᵀ = ρᵀ A` after each
@@ -870,7 +869,7 @@ impl<'a> Simplex<'a> {
                     return Ok(LpStatus::Optimal);
                 }
             }
-            let bland = matches!(self.opts.pricing, Pricing::Bland) || self.degen_streak > 40;
+            let bland = self.bland || self.degen_streak > 40;
             let tp = tick(self.timers);
             let entering = self.price_incremental(d, bland);
             tock(tp, &mut self.profile.pricing_secs);
@@ -1074,13 +1073,13 @@ impl<'a> Simplex<'a> {
     /// feasibility. Requires a dual-feasible starting basis.
     ///
     /// Dispatch mirrors [`primal`](Self::primal): Dantzig keeps the pinned
-    /// legacy engine; devex/Bland run the bound-flipping (long-step) ratio
-    /// test with hypersparse solves.
+    /// legacy engine; devex runs the bound-flipping (long-step) ratio test
+    /// with hypersparse solves.
     fn dual(&mut self, costs: &[f64]) -> Result<LpStatus, WarmFail> {
         let mut d = std::mem::take(&mut self.scratch.d);
         let res = match self.opts.pricing {
             Pricing::Dantzig => self.dual_dantzig(costs, &mut d),
-            Pricing::Devex | Pricing::Bland => self.dual_bfrt(costs, &mut d),
+            Pricing::Devex => self.dual_bfrt(costs, &mut d),
         };
         self.scratch.d = d;
         res
@@ -1282,8 +1281,8 @@ impl<'a> Simplex<'a> {
     }
 
     /// Dual simplex with the bound-flipping (long-step) ratio test and
-    /// hypersparse solves — the engine behind [`Pricing::Devex`] and
-    /// [`Pricing::Bland`] warm restarts.
+    /// hypersparse solves — the engine behind [`Pricing::Devex`] warm
+    /// restarts.
     ///
     /// Breakpoints of the piecewise-linear dual objective are walked in
     /// ascending ratio order; a *boxed* column whose flip keeps the dual
@@ -1731,26 +1730,24 @@ pub(crate) fn solve_core_cold(
     upper: &[f64],
     opts: &LpOptions,
 ) -> Result<CoreOutcome, LpError> {
-    let ladder: [(usize, f64, Option<Pricing>, bool); 5] = [
-        (opts.refactor_every, opts.pivot_tol, None, false),
-        (16, opts.pivot_tol, None, false),
-        (4, 1e-11, None, false),
-        (8, opts.pivot_tol, Some(Pricing::Bland), false),
-        (4, 1e-11, Some(Pricing::Bland), true),
+    // (refactor_every, pivot_tol, bland, perturb) per rung.
+    let ladder: [(usize, f64, bool, bool); 5] = [
+        (opts.refactor_every, opts.pivot_tol, false, false),
+        (16, opts.pivot_tol, false, false),
+        (4, 1e-11, false, false),
+        (8, opts.pivot_tol, true, false),
+        (4, 1e-11, true, true),
     ];
     let mut last = LpError::SingularBasis;
-    for (rung, (refactor_every, pivot_tol, pricing, perturb)) in ladder.into_iter().enumerate() {
+    for (rung, (refactor_every, pivot_tol, bland, perturb)) in ladder.into_iter().enumerate() {
         let mut o = opts.clone();
         o.refactor_every = refactor_every;
         o.pivot_tol = pivot_tol;
-        if let Some(p) = pricing {
-            o.pricing = p;
-        }
         let attempt = if perturb {
             let (lo, up) = perturbed_bounds(lower, upper);
-            solve_core_cold_once(core, &lo, &up, &o)
+            solve_core_cold_once(core, &lo, &up, &o, bland)
         } else {
-            solve_core_cold_once(core, lower, upper, &o)
+            solve_core_cold_once(core, lower, upper, &o, bland)
         };
         match attempt {
             Err(e @ (LpError::SingularBasis | LpError::IterationLimit)) => last = e,
@@ -1799,6 +1796,7 @@ fn solve_core_cold_once(
     lower: &[f64],
     upper: &[f64],
     opts: &LpOptions,
+    bland: bool,
 ) -> Result<CoreOutcome, LpError> {
     inject_itercap(opts)?;
     // audit: allow(nondet) — profiling timer only (reported in SimplexProfile).
@@ -1901,6 +1899,7 @@ fn solve_core_cold_once(
         scratch,
         profile: SimplexProfile::default(),
         timers: opts.profile,
+        bland,
     };
     sx.profile.other_secs += setup_secs;
     sx.profile.refactor_secs += initial_factorize_secs;
@@ -2028,6 +2027,7 @@ pub(crate) fn solve_core_warm(
         scratch,
         profile: SimplexProfile::default(),
         timers: opts.profile,
+        bland: false,
     };
     sx.profile.refactor_secs += initial_factorize_secs;
     let tmid = tick(sx.timers);

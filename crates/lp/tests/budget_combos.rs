@@ -5,9 +5,9 @@
 //! solve — node loop *and* the pivot loop inside each node LP — must
 //! honour that deadline no matter which search features are switched on.
 //! These tests pin that contract for the combinations the service exposes:
-//! the scale stack (`cuts + propagate + pseudocost` branching) and the
-//! configuration portfolio, against a market-split feasibility instance
-//! hard enough that no configuration finishes inside the deadlines used.
+//! the defaults and the scale stack (`cuts + propagate + pseudocost`
+//! branching), against a market-split feasibility instance hard enough
+//! that no configuration finishes inside the deadlines used.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -64,14 +64,9 @@ fn combos() -> Vec<(&'static str, MipOptions)> {
         branching: Branching::Pseudocost,
         ..MipOptions::default()
     };
-    let portfolio = MipOptions {
-        portfolio: true,
-        ..MipOptions::default()
-    };
     vec![
         ("default", base),
         ("cuts+propagate+pseudocost", scale_stack),
-        ("portfolio", portfolio),
     ]
 }
 

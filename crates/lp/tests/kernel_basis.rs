@@ -75,9 +75,7 @@ fn build(mip: &RandomMip) -> Problem {
 /// with the legacy default. `refactor_every = 2` forces frequent
 /// refactorizations (and FT update chains spanning them) even on tiny
 /// instances.
-const COMBOS: [(BasisUpdate, RefactorSchedule); 4] = [
-    (BasisUpdate::Ft, RefactorSchedule::Fixed),
-    (BasisUpdate::Ft, RefactorSchedule::Dynamic),
+const COMBOS: [(BasisUpdate, RefactorSchedule); 2] = [
     (BasisUpdate::FtMarkowitz, RefactorSchedule::Fixed),
     (BasisUpdate::FtMarkowitz, RefactorSchedule::Dynamic),
 ];
@@ -198,7 +196,7 @@ fn profile_sections_account_for_lp_time() {
     let p = timing_problem(24, 24);
     for (basis_update, refactor) in [
         (BasisUpdate::Eta, RefactorSchedule::Fixed),
-        (BasisUpdate::Ft, RefactorSchedule::Dynamic),
+        (BasisUpdate::FtMarkowitz, RefactorSchedule::Dynamic),
     ] {
         let opts = LpOptions {
             profile: true,

@@ -3,9 +3,8 @@
 
 use proptest::prelude::*;
 use tempart_lp::{
-    presolve, separate_cuts, solve_lp, BranchAndBound, Branching, FirstIndexRule, LpOptions,
-    LpStatus, MipOptions, MipStatus, MostFractionalRule, Presolved, Pricing, Problem, Sense,
-    VarKind,
+    separate_cuts, solve_lp, BranchAndBound, Branching, FirstIndexRule, LpOptions, LpStatus,
+    MipOptions, MipStatus, MostFractionalRule, Pricing, Problem, Sense, VarKind,
 };
 
 /// Exhaustive 0-1 reference optimum.
@@ -103,32 +102,6 @@ proptest! {
         }
     }
 
-    /// Presolve → solve → restore agrees with the direct solve: same
-    /// status, same objective, and the restored point is feasible in the
-    /// original problem.
-    #[test]
-    fn presolve_preserves_the_optimum(mip in random_mip()) {
-        let p = build(&mip);
-        let direct = BranchAndBound::new(&p).solve().expect("direct solve");
-        match presolve(&p).expect("presolve") {
-            Presolved::Infeasible => {
-                prop_assert_eq!(direct.status, MipStatus::Infeasible);
-            }
-            Presolved::Reduced(r) => {
-                let reduced = BranchAndBound::new(&r.problem).solve().expect("reduced solve");
-                prop_assert_eq!(direct.status, reduced.status);
-                if direct.status == MipStatus::Optimal {
-                    let total = reduced.objective + r.objective_offset;
-                    prop_assert!((total - direct.objective).abs() < 1e-5,
-                        "reduced {} + offset {} vs direct {}",
-                        reduced.objective, r.objective_offset, direct.objective);
-                    let restored = r.restore(&reduced.x);
-                    prop_assert!(p.first_violated(&restored, 1e-5).is_none());
-                }
-            }
-        }
-    }
-
     /// The parallel search is objective-deterministic: every thread count
     /// proves the same optimum (or the same infeasibility) as the serial
     /// solver, and the stats stay coherent (per-worker nodes sum to the
@@ -162,33 +135,31 @@ proptest! {
         }
     }
 
-    /// Every pricing rule proves the same LP relaxation: devex and Bland
-    /// follow their own pivot sequences but must agree with Dantzig on
-    /// status and objective.
+    /// Both pricing rules prove the same LP relaxation: devex follows its
+    /// own pivot sequence but must agree with Dantzig on status and
+    /// objective.
     #[test]
     fn pricing_rules_agree_on_lp_objective(mip in random_mip()) {
         let p = build(&mip);
         let base = solve_lp(&p, &LpOptions::default()).expect("dantzig lp");
-        for pricing in [Pricing::Devex, Pricing::Bland] {
-            let opts = LpOptions { pricing, ..LpOptions::default() };
-            let out = solve_lp(&p, &opts).expect("lp solve");
-            prop_assert_eq!(out.status, base.status, "pricing {}", pricing);
-            if base.status == LpStatus::Optimal {
-                prop_assert!((out.objective - base.objective).abs() < 1e-6,
-                    "pricing {}: got {} want {}", pricing, out.objective, base.objective);
-                prop_assert!(p.first_violated(&out.x, 1e-5).is_none());
-            }
+        let opts = LpOptions { pricing: Pricing::Devex, ..LpOptions::default() };
+        let out = solve_lp(&p, &opts).expect("lp solve");
+        prop_assert_eq!(out.status, base.status);
+        if base.status == LpStatus::Optimal {
+            prop_assert!((out.objective - base.objective).abs() < 1e-6,
+                "devex: got {} want {}", out.objective, base.objective);
+            prop_assert!(p.first_violated(&out.x, 1e-5).is_none());
         }
     }
 
     /// Every pricing rule proves the same 0-1 optimum through the full
     /// branch-and-bound (exercising the warm-start dual path — bound
-    /// flipping under devex/Bland, the legacy ratio test under Dantzig).
+    /// flipping under devex, the legacy ratio test under Dantzig).
     #[test]
     fn pricing_rules_agree_on_mip_objective(mip in random_mip()) {
         let p = build(&mip);
         let reference = brute_force(&p);
-        for pricing in [Pricing::Dantzig, Pricing::Devex, Pricing::Bland] {
+        for pricing in [Pricing::Dantzig, Pricing::Devex] {
             let mut opts = MipOptions::default();
             opts.lp.pricing = pricing;
             let out = BranchAndBound::new(&p)
@@ -238,8 +209,8 @@ proptest! {
         }
     }
 
-    /// The full scale stack — root cuts, node propagation, the RINS
-    /// neighborhood search, and pseudo-cost branching — still proves
+    /// The full scale stack — root cuts, node propagation, and pseudo-cost
+    /// branching — still proves
     /// exactly the brute-force optimum (or the same infeasibility).
     #[test]
     fn scale_stack_matches_brute_force(mip in random_mip()) {
@@ -248,7 +219,6 @@ proptest! {
         let opts = MipOptions {
             cuts: true,
             propagate: true,
-            rins: true,
             branching: Branching::Pseudocost,
             ..MipOptions::default()
         };

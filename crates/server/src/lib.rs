@@ -104,7 +104,7 @@ pub struct ServerConfig {
     pub max_time_limit_secs: f64,
     /// Wall-clock budget for jobs that do not request one.
     pub default_time_limit_secs: f64,
-    /// Cap on per-job solver threads (also bounds portfolio arms).
+    /// Cap on per-job solver threads.
     pub max_threads: usize,
     /// Warm-start cache entries (0 disables the cache).
     pub cache_capacity: usize,

@@ -90,10 +90,8 @@ fn mip_options(inner: &Inner, job: &Job) -> MipOptions {
         max_nodes: job.node_limit,
         max_lp_iterations: job.pivot_limit,
         threads: job.threads,
-        portfolio: job.params.portfolio,
         cuts: job.params.cuts,
         propagate: job.params.propagate,
-        rins: job.params.rins,
         branching: job.branching,
         progress: Some(Arc::clone(&job.progress)),
         ..MipOptions::default()
