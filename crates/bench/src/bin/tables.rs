@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Experiments: `table1`, `table2`, `table3`, `table4`, `ablation`,
-//! `simulate`, `parallel`, `simplex`, `kernel`, `resilience`,
+//! `simulate`, `parallel`, `kernel`, `resilience`,
 //! `scale`, `service`, `all` (plus `scale-smoke` and `kernel-smoke`, the
 //! budgeted CI variants of `scale` and `kernel`). The `service` experiment drives the solve server's
 //! load-generator sweep (`service-bench` in the server crate) and writes
@@ -24,22 +24,18 @@
 //! `parallel` experiment ignores it and sweeps its own thread counts over
 //! the work-stealing scheduler, writing the measurements — per-node
 //! wall-clock, per-worker busy time, and the contention counters — plus a
-//! pinned acceptance bar to `BENCH_parallel.json`. The `simplex`
-//! experiment sweeps the pricing rules (Dantzig / devex) over the same
-//! instances and writes `BENCH_simplex.json`. The `kernel` experiment
-//! compares the basis-maintenance engines (eta file vs Markowitz-pivoted
-//! Forrest–Tomlin with the dynamic refactorization trigger) on an
-//! equivalence tier, the flagship row, and the `--scale` replicated
-//! instances, and writes `BENCH_kernel.json`.
+//! pinned acceptance bar to `BENCH_parallel.json`. The `kernel` experiment
+//! compares the basis kernels (eta file refactorized on a fixed interval
+//! vs Markowitz-pivoted Forrest–Tomlin with the dynamic refactorization
+//! trigger) on an equivalence tier, the flagship row, and the `--scale`
+//! replicated instances, and writes `BENCH_kernel.json`.
 
 use tempart_bench::report::{format_markdown, format_table};
 use tempart_bench::{
     date98_device, date98_instance, date98_scaled_instance, run_row, ExperimentRow, RowConfig,
 };
 use tempart_core::{CutSet, IlpModel, Linearization, ModelConfig, RuleKind, SolveOptions, WForm};
-use tempart_lp::{
-    solve_lp, BasisUpdate, Branching, LpOptions, MipOptions, Pricing, RefactorSchedule,
-};
+use tempart_lp::{solve_lp, BasisUpdate, Branching, LpOptions, MipOptions};
 use tempart_sim::{execute, naive_partitioning};
 
 fn main() {
@@ -75,7 +71,6 @@ fn main() {
             "ablation" => ablation(limit, threads),
             "simulate" => simulate(threads),
             "parallel" => parallel(limit),
-            "simplex" => simplex(limit),
             "kernel" => kernel(limit, false),
             "kernel-smoke" => kernel(limit, true),
             "resilience" => resilience(limit),
@@ -91,14 +86,13 @@ fn main() {
                 ablation(limit, threads);
                 simulate(threads);
                 parallel(limit);
-                simplex(limit);
                 kernel(limit, false);
                 resilience(limit);
                 scale(limit, false);
                 service(limit);
             }
             other => eprintln!(
-                "unknown experiment `{other}` (try table1..4, ablation, simulate, parallel, simplex, kernel, kernel-smoke, resilience, scale, scale-smoke, service, race, all)"
+                "unknown experiment `{other}` (try table1..4, ablation, simulate, parallel, kernel, kernel-smoke, resilience, scale, scale-smoke, service, race, all)"
             ),
         }
     }
@@ -138,13 +132,11 @@ fn table1(limit: f64, threads: usize) {
         device: date98_device(),
         seed_incumbent: false,
         threads,
-        pricing: Pricing::Dantzig,
         profile: false,
         cuts: false,
         propagate: false,
         branching: Branching::Rule,
         basis_update: BasisUpdate::Eta,
-        refactor: RefactorSchedule::Fixed,
         scale: 1,
     })
     .collect();
@@ -174,13 +166,11 @@ fn table2(limit: f64, threads: usize) {
         device: date98_device(),
         seed_incumbent: false,
         threads,
-        pricing: Pricing::Dantzig,
         profile: false,
         cuts: false,
         propagate: false,
         branching: Branching::Rule,
         basis_update: BasisUpdate::Eta,
-        refactor: RefactorSchedule::Fixed,
         scale: 1,
     })
     .collect();
@@ -205,13 +195,11 @@ fn table3(limit: f64, threads: usize) {
             device: date98_device(),
             seed_incumbent: false,
             threads,
-            pricing: Pricing::Dantzig,
             profile: false,
             cuts: false,
             propagate: false,
             branching: Branching::Rule,
             basis_update: BasisUpdate::Eta,
-            refactor: RefactorSchedule::Fixed,
             scale: 1,
         })
         .collect();
@@ -251,13 +239,11 @@ fn table4(limit: f64, threads: usize) {
         device: date98_device(),
         seed_incumbent: true,
         threads,
-        pricing: Pricing::Dantzig,
         profile: false,
         cuts: false,
         propagate: false,
         branching: Branching::Rule,
         basis_update: BasisUpdate::Eta,
-        refactor: RefactorSchedule::Fixed,
         scale: 1,
     })
     .collect();
@@ -361,13 +347,11 @@ fn ablation(limit: f64, threads: usize) {
             device: date98_device(),
             seed_incumbent,
             threads,
-            pricing: Pricing::Dantzig,
             profile: false,
             cuts: false,
             propagate: false,
             branching: Branching::Rule,
             basis_update: BasisUpdate::Eta,
-            refactor: RefactorSchedule::Fixed,
             scale: 1,
         };
         match run_row(&cfg) {
@@ -481,7 +465,7 @@ fn parallel(limit: f64) {
     const THREADS: [usize; 3] = [1, 2, 4];
     const REPS: usize = 3;
     // (label, graph, ams, N, L, rule). The guided rows are the unseeded
-    // Table 3 workhorses (585 and 289 serial nodes); the unguided row is the
+    // Table 3 workhorses (459 and 141 serial nodes); the unguided row is the
     // Table 2 flagship — ~10.7k cheap nodes, the tree shape where node-level
     // parallelism pays most.
     type Case = (&'static str, usize, (u32, u32, u32), u32, u32, RuleKind);
@@ -531,13 +515,11 @@ fn parallel(limit: f64) {
                 device: date98_device(),
                 seed_incumbent: false,
                 threads,
-                pricing: Pricing::Dantzig,
                 profile: false,
                 cuts: false,
                 propagate: false,
                 branching: Branching::Rule,
                 basis_update: BasisUpdate::Eta,
-                refactor: RefactorSchedule::Fixed,
                 scale: 1,
             };
             let mut best: Option<ExperimentRow> = None;
@@ -641,126 +623,10 @@ fn parallel(limit: f64) {
     println!();
 }
 
-/// Pricing-rule study: the serial solver re-run under each simplex pricing
-/// mode with the profiling layer on. Dantzig is the pinned legacy engine and
-/// the baseline; devex adds incremental reduced costs, hypersparse solves,
-/// and the bound-flipping dual ratio test. Both modes prove the same
-/// optimum. Each cell is the best of three runs; results go to stdout
-/// and `BENCH_simplex.json`.
-fn simplex(limit: f64) {
-    const PRICINGS: [Pricing; 2] = [Pricing::Dantzig, Pricing::Devex];
-    const REPS: usize = 3;
-    // The parallel study's three workhorses: two guided Table 3 rows and the
-    // unguided Table 2 flagship (~10.7k nodes — the LP-bound regime where
-    // pricing dominates the runtime).
-    type Case = (&'static str, usize, (u32, u32, u32), u32, u32, RuleKind);
-    let cases: [Case; 3] = [
-        ("g1-N3-L1", 1, (2, 2, 1), 3, 1, RuleKind::Paper),
-        ("g1-N2-L2", 1, (2, 2, 1), 2, 2, RuleKind::Paper),
-        (
-            "g1-N3-L1-unguided",
-            1,
-            (2, 2, 1),
-            3,
-            1,
-            RuleKind::FirstIndex,
-        ),
-    ];
-    println!("Simplex pricing: serial solver under each pricing rule (profiling on)");
-    println!(
-        "{:<18} {:>8} {:>9} {:>8} {:>9} {:>7} {:>6} {:>8}",
-        "instance", "pricing", "lp-iters", "flips", "wall(ms)", "nodes", "cost", "speedup"
-    );
-    let mut json_rows: Vec<String> = Vec::new();
-    for (label, g, ams, n, l, rule) in cases {
-        let mut dantzig_ms = None;
-        for pricing in PRICINGS {
-            let cfg = RowConfig {
-                graph_no: g,
-                ams,
-                config: ModelConfig::tightened(n, l),
-                rule,
-                time_limit_secs: limit,
-                device: date98_device(),
-                seed_incumbent: false,
-                threads: 1,
-                pricing,
-                profile: true,
-                cuts: false,
-                propagate: false,
-                branching: Branching::Rule,
-                basis_update: BasisUpdate::Eta,
-                refactor: RefactorSchedule::Fixed,
-                scale: 1,
-            };
-            let mut best: Option<ExperimentRow> = None;
-            for _ in 0..REPS {
-                match run_row(&cfg) {
-                    Ok(r) => {
-                        if best.as_ref().is_none_or(|b| r.seconds < b.seconds) {
-                            best = Some(r);
-                        }
-                    }
-                    Err(e) => eprintln!("{label} {pricing} failed: {e}"),
-                }
-            }
-            let Some(row) = best else { continue };
-            let wall_ms = row.seconds * 1e3;
-            if pricing == Pricing::Dantzig {
-                dantzig_ms = Some(wall_ms);
-            }
-            let speedup = dantzig_ms.map(|d| d / wall_ms);
-            let p = &row.stats.simplex;
-            println!(
-                "{:<18} {:>8} {:>9} {:>8} {:>9.1} {:>7} {:>6} {:>8}",
-                label,
-                pricing.as_str(),
-                row.lp_iterations,
-                p.bound_flips,
-                wall_ms,
-                row.nodes,
-                row.cost.map_or("-".to_string(), |c| c.to_string()),
-                speedup.map_or("-".to_string(), |s| format!("{s:.2}x")),
-            );
-            json_rows.push(format!(
-                "  {{\"instance\": \"{label}\", \"pricing\": \"{}\", \"nodes\": {}, \
-                 \"lp_iterations\": {}, \"bound_flips\": {}, \"devex_resets\": {}, \
-                 \"refactors\": {}, \"wall_ms\": {:.3}, \"lp_ms\": {:.3}, \
-                 \"pricing_ms\": {:.3}, \"ftran_ms\": {:.3}, \"btran_ms\": {:.3}, \
-                 \"ratio_ms\": {:.3}, \"refactor_ms\": {:.3}, \
-                 \"update_ms\": {:.3}, \"other_ms\": {:.3}, \
-                 \"cost\": {}, \"speedup_vs_dantzig\": {}}}",
-                pricing.as_str(),
-                row.nodes,
-                row.lp_iterations,
-                p.bound_flips,
-                p.devex_resets,
-                p.refactors,
-                wall_ms,
-                p.lp_secs * 1e3,
-                p.pricing_secs * 1e3,
-                p.ftran_secs * 1e3,
-                p.btran_secs * 1e3,
-                p.ratio_secs * 1e3,
-                p.refactor_secs * 1e3,
-                p.update_secs * 1e3,
-                p.other_secs * 1e3,
-                row.cost.map_or("null".to_string(), |c| c.to_string()),
-                speedup.map_or("null".to_string(), |s| format!("{s:.4}")),
-            ));
-        }
-    }
-    let json = format!("[\n{}\n]\n", json_rows.join(",\n"));
-    match std::fs::write("BENCH_simplex.json", &json) {
-        Ok(()) => println!("wrote BENCH_simplex.json ({} rows)", json_rows.len()),
-        Err(e) => eprintln!("cannot write BENCH_simplex.json: {e}"),
-    }
-    println!();
-}
-
-/// Kernel-speed study (DESIGN.md §5h): the basis-maintenance engines —
-/// the pinned legacy eta file and Markowitz-pivoted Forrest–Tomlin under
-/// the dynamic refactorization trigger — compared on three tiers:
+/// Kernel-speed study (DESIGN.md §5h): the basis kernels — the pinned eta
+/// file on its fixed refactorization interval and Markowitz-pivoted
+/// Forrest–Tomlin under the dynamic refactorization trigger — compared on
+/// three tiers:
 ///
 /// 1. *Equivalence*: every decidable Table 4 row (all six paper graphs),
 ///    solved guided and seeded under each kernel. The bar is identical
@@ -787,14 +653,10 @@ fn simplex(limit: f64) {
 /// artifact (`BENCH_kernel_smoke.json`) so local `verify.sh` runs never
 /// clobber the committed full-budget one.
 fn kernel(limit: f64, smoke: bool) {
-    type Kernel = (&'static str, BasisUpdate, RefactorSchedule);
+    type Kernel = (&'static str, BasisUpdate);
     let kernels: [Kernel; 2] = [
-        ("eta/fixed", BasisUpdate::Eta, RefactorSchedule::Fixed),
-        (
-            "ft-markowitz/dynamic",
-            BasisUpdate::FtMarkowitz,
-            RefactorSchedule::Dynamic,
-        ),
+        ("eta", BasisUpdate::Eta),
+        ("ft-markowitz", BasisUpdate::FtMarkowitz),
     ];
     let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let mut json_rows: Vec<String> = Vec::new();
@@ -828,7 +690,7 @@ fn kernel(limit: f64, smoke: bool) {
     let mut eq_pass = true;
     for (label, g, k, ams, n, l) in eq_cases {
         let mut costs: Vec<Option<u64>> = Vec::new();
-        for &(kname, bu, rs) in &kernels {
+        for &(kname, bu) in &kernels {
             let cfg = RowConfig {
                 graph_no: g,
                 ams,
@@ -838,13 +700,11 @@ fn kernel(limit: f64, smoke: bool) {
                 device: date98_device(),
                 seed_incumbent: true,
                 threads: 1,
-                pricing: Pricing::Dantzig,
                 profile: true,
                 cuts: false,
                 propagate: false,
                 branching: Branching::Rule,
                 basis_update: bu,
-                refactor: rs,
                 scale: k,
             };
             let row = match run_row(&cfg) {
@@ -913,7 +773,7 @@ fn kernel(limit: f64, smoke: bool) {
     // Tier 2 — flagship end-to-end (Table 2 unguided workhorse).
     let reps = if smoke { 1 } else { 2 };
     let mut flagship: Vec<(&str, ExperimentRow)> = Vec::new();
-    for &(kname, bu, rs) in &kernels {
+    for &(kname, bu) in &kernels {
         let cfg = RowConfig {
             graph_no: 1,
             ams: (2, 2, 1),
@@ -923,13 +783,11 @@ fn kernel(limit: f64, smoke: bool) {
             device: date98_device(),
             seed_incumbent: false,
             threads: 1,
-            pricing: Pricing::Dantzig,
             profile: true,
             cuts: false,
             propagate: false,
             branching: Branching::Rule,
             basis_update: bu,
-            refactor: rs,
             scale: 1,
         };
         let mut best: Option<ExperimentRow> = None;
@@ -949,7 +807,7 @@ fn kernel(limit: f64, smoke: bool) {
     }
     let eta_flagship = flagship
         .iter()
-        .find(|(k, _)| *k == "eta/fixed")
+        .find(|(k, _)| *k == "eta")
         .map(|(_, r)| (r.seconds, r.cost));
     for (kname, row) in &flagship {
         let wall_ms = row.seconds * 1e3;
@@ -993,7 +851,7 @@ fn kernel(limit: f64, smoke: bool) {
     }
     let best_ft = flagship
         .iter()
-        .filter(|(k, _)| *k != "eta/fixed")
+        .filter(|(k, _)| *k != "eta")
         .min_by(|(_, a), (_, b)| a.seconds.total_cmp(&b.seconds));
     if smoke {
         // CI hardware varies too much to pin a speed bar; the smoke gate is
@@ -1015,14 +873,14 @@ fn kernel(limit: f64, smoke: bool) {
         };
         json_rows.push(bar);
     } else {
-        // Pinned acceptance bar: the best FT variant beats the legacy eta
+        // Pinned acceptance bar: the best FT variant beats the eta
         // baseline by >=1.25x end-to-end at the same proven optimum 13.
         let bar = match (eta_flagship, best_ft) {
             (Some((eta_secs, eta_cost)), Some((kname, row))) => {
                 let speedup = eta_secs / row.seconds;
                 let pass = eta_cost == Some(13) && row.cost == Some(13) && speedup >= 1.25;
                 println!(
-                    "acceptance [{}]: {kname} {:.0} ms vs eta/fixed {:.0} ms \
+                    "acceptance [{}]: {kname} {:.0} ms vs eta {:.0} ms \
                      ({speedup:.2}x — bar >=1.25x) at cost {} vs {}",
                     if pass { "PASS" } else { "FAIL" },
                     row.seconds * 1e3,
@@ -1032,7 +890,7 @@ fn kernel(limit: f64, smoke: bool) {
                 );
                 format!(
                     "  {{\"acceptance\": \"flagship_speedup_ge_1.25_at_cost_13\", \
-                     \"instance\": \"g1-N3-L1-unguided\", \"baseline_kernel\": \"eta/fixed\", \
+                     \"instance\": \"g1-N3-L1-unguided\", \"baseline_kernel\": \"eta\", \
                      \"baseline_ms\": {:.3}, \"best_kernel\": \"{kname}\", \
                      \"best_ms\": {:.3}, \"speedup\": {speedup:.4}, \
                      \"baseline_cost\": {}, \"best_cost\": {}, \"pass\": {pass}}}",
@@ -1049,7 +907,7 @@ fn kernel(limit: f64, smoke: bool) {
         json_rows.push(bar);
     }
 
-    // Tier 3 — scaled root-LP tier: devex-priced solve_lp at a fixed pivot
+    // Tier 3 — scaled root-LP tier: solve_lp at a fixed pivot
     // cap, timed externally (hitting the cap is the expected termination;
     // the kernels then spend identical pivot budgets).
     type ScaledCase = (&'static str, usize, u32, u32, usize);
@@ -1090,12 +948,10 @@ fn kernel(limit: f64, smoke: bool) {
         let mut eta_cell: Option<(f64, usize)> = None;
         let mut best_ft_cell: Option<(&str, f64, usize)> = None;
         let mut lp_optima: Vec<f64> = Vec::new();
-        for &(kname, bu, rs) in &kernels {
+        for &(kname, bu) in &kernels {
             let opts = LpOptions {
                 max_iterations: cap,
-                pricing: Pricing::Devex,
                 basis_update: bu,
-                refactor: rs,
                 ..LpOptions::default()
             };
             let mut best: Option<(f64, usize, Option<f64>)> = None;
@@ -1122,7 +978,7 @@ fn kernel(limit: f64, smoke: bool) {
                 lp_optima.push(obj);
             }
             let us_per_iter = wall * 1e6 / iters.max(1) as f64;
-            if kname == "eta/fixed" {
+            if kname == "eta" {
                 eta_cell = Some((wall, iters));
             } else if best_ft_cell.is_none_or(|(_, w, it)| us_per_iter < w * 1e6 / it.max(1) as f64)
             {
@@ -1237,7 +1093,7 @@ fn kernel(limit: f64, smoke: bool) {
 /// source (`exact` incumbent vs the Figure-2 `heuristic` degradation), the
 /// cost, and the proven gap, tracing the gap-vs-deadline curve from "no
 /// time at all" down to the proven optimum. The full serial solve takes
-/// ~11k pivots, so the sweep brackets that. Results go to stdout and
+/// ~10.4k pivots, so the sweep brackets that. Results go to stdout and
 /// `BENCH_resilience.json`.
 fn resilience(limit: f64) {
     const BUDGETS: [usize; 6] = [50, 500, 2_000, 5_000, 9_000, usize::MAX];
@@ -1387,13 +1243,11 @@ fn scale(limit: f64, smoke: bool) {
             device: date98_device(),
             seed_incumbent: false,
             threads: 1,
-            pricing: Pricing::Dantzig,
             profile: false,
             cuts,
             propagate,
             branching,
             basis_update: BasisUpdate::Eta,
-            refactor: RefactorSchedule::Fixed,
             scale: 1,
         };
         let row = match run_row(&cfg) {

@@ -76,7 +76,7 @@ pub fn format_markdown(rows: &[ExperimentRow], limit: f64) -> String {
 mod tests {
     use super::*;
     use tempart_core::RuleKind;
-    use tempart_lp::{MipStats, Pricing};
+    use tempart_lp::MipStats;
 
     fn sample_row() -> ExperimentRow {
         ExperimentRow {
@@ -96,7 +96,6 @@ mod tests {
             partitions_used: Some(3),
             nodes: 42,
             lp_iterations: 1000,
-            pricing: Pricing::Dantzig,
             stats: MipStats::default(),
             rule: RuleKind::Paper,
         }

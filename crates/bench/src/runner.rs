@@ -4,9 +4,7 @@ use std::time::Instant;
 
 use tempart_core::{CoreError, IlpModel, ModelConfig, RuleKind, SolveOptions};
 use tempart_graph::FpgaDevice;
-use tempart_lp::{
-    BasisUpdate, Branching, MipOptions, MipStats, MipStatus, Pricing, RefactorSchedule,
-};
+use tempart_lp::{BasisUpdate, Branching, MipOptions, MipStats, MipStatus};
 
 use crate::graphs::{date98_instance, date98_scaled_instance};
 
@@ -34,11 +32,8 @@ pub struct RowConfig {
     /// deterministic node counts, `0` = one per CPU). The faithful table
     /// reproductions run serial; the `parallel` experiment sweeps this.
     pub threads: usize,
-    /// Simplex pricing rule. The faithful table reproductions run the pinned
-    /// `Dantzig` legacy engine; the `simplex` experiment sweeps this.
-    pub pricing: Pricing,
-    /// Enable the per-phase simplex section timers (the `simplex` experiment
-    /// sets this; counters are collected regardless).
+    /// Enable the per-phase simplex section timers (counters are collected
+    /// regardless).
     pub profile: bool,
     /// Root cover/clique cut separation (cut-and-branch). Off for the
     /// faithful table reproductions — the golden node counts depend on it;
@@ -50,13 +45,10 @@ pub struct RowConfig {
     /// Variable-selection engine: the static rule (pinned default) or
     /// pseudo-cost branching with reliability initialization.
     pub branching: Branching,
-    /// Simplex basis-maintenance kernel. The faithful table reproductions
-    /// run the pinned legacy eta file; the `kernel` experiment sweeps the
-    /// Forrest–Tomlin representations.
+    /// Simplex basis kernel, with its own refactorization schedule. The
+    /// faithful table reproductions run the pinned eta file; the `kernel`
+    /// experiment compares it with Forrest–Tomlin.
     pub basis_update: BasisUpdate,
-    /// Refactorization schedule (fixed legacy interval or the dynamic
-    /// fill-in/stability trigger); swept by the `kernel` experiment.
-    pub refactor: RefactorSchedule,
     /// Instance replication factor: `1` solves the paper graph itself, `k >
     /// 1` the deterministic replicate-and-chain scaled instance
     /// ([`date98_scaled_instance`]) — the kernel tier where basis
@@ -103,8 +95,6 @@ pub struct ExperimentRow {
     pub lp_iterations: usize,
     /// Branching rule used.
     pub rule: RuleKind,
-    /// Pricing rule used.
-    pub pricing: Pricing,
     /// Full solver statistics: the merged simplex profile (timers populated
     /// only when [`RowConfig::profile`] was set), the parallel scheduler's
     /// contention counters, and per-worker node/busy-time vectors.
@@ -178,10 +168,8 @@ pub fn run_row(cfg: &RowConfig) -> Result<ExperimentRow, CoreError> {
         branching: cfg.branching,
         ..MipOptions::default()
     };
-    mip.lp.pricing = cfg.pricing;
     mip.lp.profile = cfg.profile;
     mip.lp.basis_update = cfg.basis_update;
-    mip.lp.refactor = cfg.refactor;
     let started = Instant::now();
     let out = model.solve(&SolveOptions {
         mip,
@@ -225,7 +213,6 @@ pub fn run_row(cfg: &RowConfig) -> Result<ExperimentRow, CoreError> {
         nodes: out.stats.nodes,
         lp_iterations: out.stats.lp_iterations,
         rule: cfg.rule,
-        pricing: cfg.pricing,
         stats: out.stats,
     })
 }
@@ -248,13 +235,11 @@ mod tests {
             device: date98_device(),
             seed_incumbent: true,
             threads: 1,
-            pricing: Pricing::Dantzig,
             profile: false,
             cuts: false,
             propagate: false,
             branching: Branching::Rule,
             basis_update: BasisUpdate::Eta,
-            refactor: RefactorSchedule::Fixed,
             scale: 1,
         })
         .unwrap();

@@ -5,7 +5,7 @@
 
 use tempart_bench::{date98_device, date98_instance, paper_graph};
 use tempart_core::{IlpModel, ModelConfig, SolveOptions};
-use tempart_lp::{MipStatus, Pricing};
+use tempart_lp::MipStatus;
 
 #[test]
 fn paper_graph_shapes_are_stable() {
@@ -62,16 +62,16 @@ fn serial_search_node_counts_pinned() {
     // must leave this path bit-identical, so any movement here is a solver
     // change, not run-to-run noise. Update together with EXPERIMENTS.md if
     // intentional.
-    // The refactorization counts pin the legacy fixed schedule (eta file,
-    // refactor every 64 updates): the FT/dynamic machinery must leave the
-    // default engine's arithmetic — and therefore its refactor cadence —
+    // The refactorization counts pin the default kernel's schedule (eta
+    // file, refactor every 64 updates): the FT kernel must leave the
+    // default arithmetic — and therefore its refactor cadence —
     // bit-identical (DESIGN.md §5h).
     type Pin = ((u32, u32), MipStatus, usize, usize, usize, Option<u64>);
     let expected: [Pin; 4] = [
-        ((3, 0), MipStatus::Infeasible, 1, 135, 2, None),
-        ((3, 1), MipStatus::Optimal, 585, 10_958, 32, Some(13)),
-        ((2, 2), MipStatus::Optimal, 289, 9_157, 58, Some(5)),
-        ((2, 3), MipStatus::Optimal, 1, 166, 2, Some(0)),
+        ((3, 0), MipStatus::Infeasible, 1, 146, 2, None),
+        ((3, 1), MipStatus::Optimal, 459, 10_411, 60, Some(13)),
+        ((2, 2), MipStatus::Optimal, 141, 9_236, 102, Some(5)),
+        ((2, 3), MipStatus::Optimal, 1, 199, 3, Some(0)),
     ];
     for ((n, l), status, nodes, lp_iters, refactors, cost) in expected {
         let inst = date98_instance(1, 2, 2, 1, date98_device()).unwrap();
@@ -82,7 +82,7 @@ fn serial_search_node_counts_pinned() {
         assert_eq!(out.stats.lp_iterations, lp_iters, "N{n} L{l} lp iterations");
         assert_eq!(
             out.stats.simplex.refactors, refactors,
-            "N{n} L{l} refactorizations (legacy fixed schedule)"
+            "N{n} L{l} refactorizations (eta schedule)"
         );
         assert_eq!(
             out.solution.as_ref().map(|s| s.communication_cost()),
@@ -105,19 +105,19 @@ fn serial_search_node_counts_pinned() {
 #[test]
 fn serial_cuts_on_node_counts_pinned() {
     // The same Table 3 rows under the scale layer's root cuts and node
-    // propagation (serial Dantzig, so the search stays deterministic): its
-    // own pins beside the features-off ones above. Same optima, far fewer
-    // nodes — the flagship N3 L1 row shrinks 585 → 41. The N3 L0 row is
-    // proven infeasible by propagation at the root before any node LP is
-    // solved (0 nodes; the 135 iterations are the cut loop's root LP).
+    // propagation (serial, so the search stays deterministic): its own pins
+    // beside the features-off ones above. Same optima, far fewer nodes —
+    // the flagship N3 L1 row shrinks 459 → 46. The N3 L0 row is proven
+    // infeasible by propagation at the root before any node LP is solved
+    // (0 nodes; the 146 iterations are the cut loop's root LP).
     // Movement here means the cut separator, the propagator, or the root
     // loop changed — update together with BENCH_scale.json.
     type Pin = ((u32, u32), MipStatus, usize, usize, Option<u64>);
     let expected: [Pin; 4] = [
-        ((3, 0), MipStatus::Infeasible, 0, 135, None),
-        ((3, 1), MipStatus::Optimal, 41, 3_639, Some(13)),
-        ((2, 2), MipStatus::Optimal, 139, 5_559, Some(5)),
-        ((2, 3), MipStatus::Optimal, 1, 1_842, Some(0)),
+        ((3, 0), MipStatus::Infeasible, 0, 146, None),
+        ((3, 1), MipStatus::Optimal, 46, 4_622, Some(13)),
+        ((2, 2), MipStatus::Optimal, 72, 6_083, Some(5)),
+        ((2, 3), MipStatus::Optimal, 1, 1_711, Some(0)),
     ];
     for ((n, l), status, nodes, lp_iters, cost) in expected {
         let inst = date98_instance(1, 2, 2, 1, date98_device()).unwrap();
@@ -138,39 +138,8 @@ fn serial_cuts_on_node_counts_pinned() {
 }
 
 #[test]
-fn devex_search_node_counts_pinned() {
-    // The devex/bound-flipping engine follows its own pivot sequence, so it
-    // gets its own pins on the same rows: equal optima (the determinism
-    // contract), fewer nodes and fewer total LP iterations than the Dantzig
-    // pins above on the flagship N3 L1 row. Movement here means the
-    // incremental engine changed — update together with BENCH_simplex.json.
-    type Pin = ((u32, u32), MipStatus, usize, usize, Option<u64>);
-    let expected: [Pin; 4] = [
-        ((3, 0), MipStatus::Infeasible, 1, 146, None),
-        ((3, 1), MipStatus::Optimal, 459, 10_411, Some(13)),
-        ((2, 2), MipStatus::Optimal, 141, 9_236, Some(5)),
-        ((2, 3), MipStatus::Optimal, 1, 199, Some(0)),
-    ];
-    for ((n, l), status, nodes, lp_iters, cost) in expected {
-        let inst = date98_instance(1, 2, 2, 1, date98_device()).unwrap();
-        let model = IlpModel::build(inst, ModelConfig::tightened(n, l)).unwrap();
-        let mut opts = SolveOptions::default();
-        opts.mip.lp.pricing = Pricing::Devex;
-        let out = model.solve(&opts).unwrap();
-        assert_eq!(out.status, status, "N{n} L{l} status");
-        assert_eq!(out.stats.nodes, nodes, "N{n} L{l} nodes");
-        assert_eq!(out.stats.lp_iterations, lp_iters, "N{n} L{l} lp iterations");
-        assert_eq!(
-            out.solution.as_ref().map(|s| s.communication_cost()),
-            cost,
-            "N{n} L{l} objective"
-        );
-    }
-}
-
-#[test]
 fn parallel_search_same_optimum_on_flagship_row() {
-    // The hardest Table 3 row of graph 1 (585 serial nodes): 2 and 4 worker
+    // The hardest Table 3 row of graph 1 (459 serial nodes): 2 and 4 worker
     // threads must prove the same optimal communication cost. Node counts
     // are intentionally unchecked — they are nondeterministic above one
     // thread.
@@ -202,7 +171,7 @@ fn parallel_node_counts_stay_bounded_on_paper_rows() {
     // on a stale incumbent). The bound is deliberately loose — steal order
     // legitimately perturbs the visit order — but tight enough to catch a
     // stale-incumbent regression.
-    let serial = 289; // N2 L2 Dantzig pin above
+    let serial = 141; // N2 L2 serial pin above
     for threads in [2usize, 4] {
         let inst = date98_instance(1, 2, 2, 1, date98_device()).unwrap();
         let model = IlpModel::build(inst, ModelConfig::tightened(2, 2)).unwrap();

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! tempart solve <spec.json> [--partitions N] [--latency L] [--time-limit SECS]
-//!               [--node-limit N] [--threads T] [--pricing dantzig|devex]
-//!               [--basis-update eta|ft-markowitz] [--refactor fixed|dynamic]
+//!               [--node-limit N] [--threads T] [--basis-update eta|ft-markowitz]
 //!               [--cuts] [--propagate] [--branching rule|pseudocost]
 //!               [--scale K] [--faults PLAN] [--stats] [--certify] [--json]
 //! tempart estimate <spec.json>
@@ -39,18 +38,14 @@
 //! a hard error (nonzero exit), independent of the float simplex's own
 //! account of the solve.
 //!
-//! `--pricing` selects the simplex pricing rule (`dantzig` is the pinned
-//! legacy engine, `devex` the incremental engine with bound-flipping dual
-//! ratio test); both prove the same optimum. `--stats` enables the solver
-//! profiling layer and prints a per-phase simplex time/count breakdown
-//! after the solve.
+//! `--stats` enables the solver profiling layer and prints a per-phase
+//! simplex time/count breakdown after the solve.
 //!
-//! `--basis-update` selects the simplex basis-maintenance kernel (`eta` is
-//! the pinned legacy product-form eta file, `ft-markowitz` Forrest–Tomlin
-//! updates applied directly to the `U` factor over a Markowitz-ordered
-//! refactorization) and `--refactor` the
-//! refactorization schedule (`fixed` legacy interval or the `dynamic`
-//! fill-in/stability trigger); every combination proves the same optimum.
+//! `--basis-update` selects the simplex basis kernel: `eta` (the pinned
+//! default) is the product-form eta file refactorized every 64 updates,
+//! `ft-markowitz` Forrest–Tomlin updates applied directly to the `U` factor
+//! over a Markowitz-ordered refactorization, refactorized on measured
+//! fill-in. Both prove the same optimum.
 //!
 //! `--scale K` replicates the specification's task graph `K` times,
 //! chaining each copy's sink tasks to the next copy's sources
@@ -85,9 +80,7 @@ use tempart_core::{
 };
 use tempart_graph::{scale_task_graph, task_graph_to_dot};
 use tempart_hls::{estimate_partitions, render_gantt, Mobility};
-use tempart_lp::{
-    BasisUpdate, Branching, FaultPlan, MipOptions, MipStatus, Pricing, RefactorSchedule,
-};
+use tempart_lp::{BasisUpdate, Branching, FaultPlan, MipOptions, MipStatus};
 use tempart_sim::execute;
 
 /// Graceful Ctrl-C (`solve`/`simulate` only): the first SIGINT trips the
@@ -154,14 +147,12 @@ struct Args {
     json: bool,
     format: String,
     threads: usize,
-    pricing: Pricing,
     stats: bool,
     certify: bool,
     cuts: bool,
     propagate: bool,
     branching: Branching,
     basis_update: BasisUpdate,
-    refactor: RefactorSchedule,
     scale: usize,
 }
 
@@ -179,14 +170,12 @@ fn parse_args() -> Result<Args, String> {
         json: false,
         format: "lp".to_string(),
         threads: 1,
-        pricing: Pricing::default(),
         stats: false,
         certify: false,
         cuts: false,
         propagate: false,
         branching: Branching::default(),
         basis_update: BasisUpdate::default(),
-        refactor: RefactorSchedule::default(),
         scale: 1,
     };
     while let Some(a) = it.next() {
@@ -230,13 +219,6 @@ fn parse_args() -> Result<Args, String> {
                     .and_then(|v| v.parse().ok())
                     .ok_or("--threads takes a worker count (0 = all CPUs)")?
             }
-            "--pricing" => {
-                args.pricing = it
-                    .next()
-                    .as_deref()
-                    .and_then(Pricing::parse)
-                    .ok_or("--pricing takes dantzig or devex")?
-            }
             "--stats" => args.stats = true,
             "--certify" => args.certify = true,
             "--cuts" => args.cuts = true,
@@ -254,13 +236,6 @@ fn parse_args() -> Result<Args, String> {
                     .as_deref()
                     .and_then(BasisUpdate::parse)
                     .ok_or("--basis-update takes eta or ft-markowitz")?
-            }
-            "--refactor" => {
-                args.refactor = it
-                    .next()
-                    .as_deref()
-                    .and_then(RefactorSchedule::parse)
-                    .ok_or("--refactor takes fixed or dynamic")?
             }
             "--scale" => {
                 args.scale = it
@@ -451,10 +426,8 @@ fn run() -> Result<(), String> {
                 branching: args.branching,
                 ..MipOptions::default()
             };
-            mip.lp.pricing = args.pricing;
             mip.lp.profile = args.stats;
             mip.lp.basis_update = args.basis_update;
-            mip.lp.refactor = args.refactor;
             if let Some(plan) = &args.faults {
                 mip.lp.faults = Some(std::sync::Arc::new(FaultPlan::parse(plan)?));
             }
@@ -678,7 +651,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("usage: tempart <solve|estimate|simulate|dot|example> [spec.json] [--partitions N] [--latency L] [--time-limit SECS] [--node-limit N] [--threads T] [--pricing dantzig|devex] [--basis-update eta|ft-markowitz] [--refactor fixed|dynamic] [--cuts] [--propagate] [--branching rule|pseudocost] [--scale K] [--faults PLAN] [--stats] [--certify] [--json]");
+            eprintln!("usage: tempart <solve|estimate|simulate|dot|example> [spec.json] [--partitions N] [--latency L] [--time-limit SECS] [--node-limit N] [--threads T] [--basis-update eta|ft-markowitz] [--cuts] [--propagate] [--branching rule|pseudocost] [--scale K] [--faults PLAN] [--stats] [--certify] [--json]");
             ExitCode::FAILURE
         }
     }

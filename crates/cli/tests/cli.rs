@@ -9,7 +9,13 @@ fn tempart() -> Command {
 fn example_spec_path() -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("tempart-cli-tests");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("example.json");
+    // One file per test (the test harness names each test's thread): tests
+    // run in parallel, and a shared file could be read mid-rewrite.
+    let test = std::thread::current()
+        .name()
+        .unwrap_or("main")
+        .replace("::", "-");
+    let path = dir.join(format!("example-{test}.json"));
     let out = tempart().arg("example").output().expect("run example");
     assert!(out.status.success());
     std::fs::write(&path, &out.stdout).expect("write spec");
@@ -153,7 +159,15 @@ fn solve_scale_flags_prove_the_same_optimum() {
         (&["--rins"][..], "unexpected argument `--rins`"),
         (
             &["--pricing", "bland"][..],
-            "--pricing takes dantzig or devex",
+            "unexpected argument `--pricing`",
+        ),
+        (
+            &["--pricing", "devex"][..],
+            "unexpected argument `--pricing`",
+        ),
+        (
+            &["--refactor", "dynamic"][..],
+            "unexpected argument `--refactor`",
         ),
         (
             &["--basis-update", "ft"][..],

@@ -11,11 +11,13 @@
 //!
 //! * [`Problem`] — model builder: bounded continuous/binary variables,
 //!   linear constraints, minimization objective.
-//! * Bounded-variable **revised primal simplex** with a sparse LU
-//!   factorization of the basis, product-form (eta) updates, periodic
-//!   refactorization, and an artificial-variable phase 1.
-//! * **Dual simplex** for warm-started re-solves after bound changes — the
-//!   workhorse of branch-and-bound node evaluation.
+//! * Bounded-variable **revised primal simplex** with devex pricing,
+//!   incrementally updated reduced costs, hypersparse FTRAN/BTRAN over a
+//!   sparse LU factorization of the basis with product-form (eta) or
+//!   Forrest–Tomlin updates, and an artificial-variable phase 1.
+//! * **Dual simplex** with the bound-flipping ratio test for warm-started
+//!   re-solves after bound changes — the workhorse of branch-and-bound node
+//!   evaluation.
 //! * [`BranchAndBound`] — depth-first 0-1 branch and bound with pluggable
 //!   [`BranchingRule`]s: most-fractional, lowest-index (a deterministic
 //!   stand-in for an unguided solver default), and priority-ordered with
@@ -75,7 +77,7 @@ pub use cuts::{
 };
 pub use faults::{Budget, BudgetExceeded, FaultPlan, FaultSite};
 pub use mps::write_mps;
-pub use options::{BasisUpdate, Branching, LpOptions, MipOptions, Pricing, RefactorSchedule};
+pub use options::{BasisUpdate, Branching, LpOptions, MipOptions};
 pub use problem::{LpError, Problem, RowId, RowView, Sense, VarId, VarKind};
 pub use profile::{ContentionProfile, ScaleProfile, SimplexProfile};
 pub use progress::Progress;

@@ -214,15 +214,6 @@ impl LuFactors {
         self.m
     }
 
-    /// Stored nonzeros across both factors (`L` off-diagonals, `U`
-    /// off-diagonals, and the `U` diagonal) — the baseline the dynamic
-    /// refactorization trigger measures update fill-in against.
-    pub fn nnz(&self) -> usize {
-        self.m
-            + self.l_cols.iter().map(Vec::len).sum::<usize>()
-            + self.u_cols.iter().map(Vec::len).sum::<usize>()
-    }
-
     /// Solves `B w = b` in place: on entry `buf` holds `b` (indexed by
     /// original row); on exit it holds `w` (indexed by basis position).
     pub fn ftran(&self, buf: &mut [f64]) {
@@ -682,18 +673,6 @@ mod tests {
         lu.btran_sparse(&mut buf, &mut pattern, &mut scratch);
         assert!(scratch.queued.iter().all(|&q| !q));
         assert!(scratch.z.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn lu_nnz_counts_all_stored_entries() {
-        let a = CscMatrix::from_triplets(
-            2,
-            2,
-            vec![(0, 0, 2.0), (1, 0, 1.0), (0, 1, 1.0), (1, 1, 3.0)],
-        );
-        let lu = LuFactors::factorize(&a, &[0, 1], 1e-10).unwrap();
-        // Dense 2x2: 1 L off-diagonal + 1 U off-diagonal + 2 diagonals.
-        assert_eq!(lu.nnz(), 4);
     }
 
     #[test]

@@ -5,54 +5,14 @@ use std::sync::Arc;
 use crate::faults::{Budget, FaultPlan};
 use crate::progress::Progress;
 
-/// Entering-variable pricing strategy for the simplex.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Pricing {
-    /// Classic Dantzig pricing (most-violated reduced cost), recomputing
-    /// reduced costs from scratch each iteration. This is the *legacy
-    /// engine*: its pivot sequence is pinned by golden node-count tests, so
-    /// it is the default and the reference for reproducibility.
-    #[default]
-    Dantzig,
-    /// Devex pricing (Forrest–Goldfarb reference-framework weights) with
-    /// incrementally maintained reduced costs and the bound-flipping dual
-    /// ratio test. The fast engine; proves the same optima as Dantzig but
-    /// with its own pivot sequence.
-    Devex,
-}
-
-impl Pricing {
-    /// Stable lower-case name (CLI flag values, JSON reports).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Pricing::Dantzig => "dantzig",
-            Pricing::Devex => "devex",
-        }
-    }
-
-    /// Parses a CLI-style name.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "dantzig" => Some(Pricing::Dantzig),
-            "devex" => Some(Pricing::Devex),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for Pricing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Basis-maintenance strategy between refactorizations.
+/// Basis kernel: how the basis is maintained between refactorizations,
+/// and when it is refactorized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BasisUpdate {
     /// Product-form eta file: every pivot appends an eta matrix that FTRAN/
-    /// BTRAN apply on top of the last LU factorization. This is the *legacy
-    /// engine* — its arithmetic is part of the pinned golden pivot
-    /// sequence, so it is the default.
+    /// BTRAN apply on top of the last LU factorization, refactorized after
+    /// exactly [`LpOptions::refactor_every`] updates. Its arithmetic is part
+    /// of the pinned golden pivot sequence, so it is the default.
     #[default]
     Eta,
     /// Forrest–Tomlin updates applied directly to the `U` factor over a
@@ -60,7 +20,10 @@ pub enum BasisUpdate {
     /// with the spike and eliminates the spiked row into a short row eta,
     /// so solve cost tracks the (slowly growing) `U` fill instead of the
     /// eta-file length, and the Markowitz pivots (chosen by fill-in ×
-    /// stability) keep that fill small. Same optima, different float
+    /// stability) keep that fill small. It refactorizes dynamically: when
+    /// the stored nonzeros pass twice the factored ones, when an update
+    /// fails the stability test, or at a hard cap of four times
+    /// [`LpOptions::refactor_every`] updates. Same optima, different float
     /// rounding, hence opt-in.
     FtMarkowitz,
 }
@@ -85,47 +48,6 @@ impl BasisUpdate {
 }
 
 impl std::fmt::Display for BasisUpdate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// When to refactorize the basis from scratch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RefactorSchedule {
-    /// Refactorize after exactly [`LpOptions::refactor_every`] updates —
-    /// the legacy fixed schedule. Its refactorization points are part of
-    /// the pinned golden arithmetic, so it is the default.
-    #[default]
-    Fixed,
-    /// Refactorize when the measured update fill-in has grown past a
-    /// multiple of the factored nonzeros, when an update reports a
-    /// stability concern, or at a hard update cap — whichever comes first.
-    /// Cheap bases run much longer between refactorizations; ill-behaved
-    /// ones refactorize sooner than the fixed schedule would.
-    Dynamic,
-}
-
-impl RefactorSchedule {
-    /// Stable lower-case name (CLI flag values, JSON reports).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RefactorSchedule::Fixed => "fixed",
-            RefactorSchedule::Dynamic => "dynamic",
-        }
-    }
-
-    /// Parses a CLI-style name.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "fixed" => Some(RefactorSchedule::Fixed),
-            "dynamic" => Some(RefactorSchedule::Dynamic),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for RefactorSchedule {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
@@ -184,24 +106,18 @@ pub struct LpOptions {
     pub pivot_tol: f64,
     /// Hard iteration cap across both phases.
     pub max_iterations: usize,
-    /// Refactorize the basis after this many eta updates (the
-    /// [`RefactorSchedule::Fixed`] interval; the dynamic schedule uses it
-    /// only as a scale for its hard cap).
+    /// Refactorize the eta file after this many updates (the Forrest–Tomlin
+    /// kernel uses it only as a scale for its hard cap).
     pub refactor_every: usize,
-    /// Basis-maintenance strategy between refactorizations (see
-    /// [`BasisUpdate`]). The default eta file is the pinned legacy engine.
+    /// Basis kernel and its refactorization schedule (see [`BasisUpdate`]).
+    /// The default eta file is the pinned one.
     pub basis_update: BasisUpdate,
-    /// Refactorization schedule (see [`RefactorSchedule`]). The default
-    /// fixed interval is part of the pinned legacy arithmetic.
-    pub refactor: RefactorSchedule,
     /// Wall-clock limit in seconds for one solve (`f64::INFINITY` to
     /// disable); exceeding it raises [`LpError::Timeout`](crate::LpError).
     pub time_limit_secs: f64,
     /// Iteration cap for a *warm-started dual* solve; a degenerate dual that
     /// exceeds it is abandoned in favour of a cold primal solve.
     pub dual_iteration_cap: usize,
-    /// Entering-variable pricing strategy (see [`Pricing`]).
-    pub pricing: Pricing,
     /// Collect per-phase wall-clock timers (pricing/ftran/btran/ratio-test/
     /// refactor) into the [`SimplexProfile`](crate::SimplexProfile). Counters
     /// (iterations, bound flips, devex resets, refactorizations) are always
@@ -228,10 +144,8 @@ impl Default for LpOptions {
             max_iterations: 200_000,
             refactor_every: 64,
             basis_update: BasisUpdate::Eta,
-            refactor: RefactorSchedule::Fixed,
             time_limit_secs: f64::INFINITY,
             dual_iteration_cap: 2_000,
-            pricing: Pricing::Dantzig,
             profile: false,
             faults: None,
             budget: None,
@@ -322,16 +236,10 @@ mod tests {
         let lp = LpOptions::default();
         assert!(lp.feas_tol > 0.0 && lp.feas_tol < 1e-4);
         assert!(lp.refactor_every >= 8);
-        assert_eq!(lp.pricing, Pricing::Dantzig, "legacy engine by default");
         assert_eq!(
             lp.basis_update,
             BasisUpdate::Eta,
-            "legacy eta file by default — the pins depend on it"
-        );
-        assert_eq!(
-            lp.refactor,
-            RefactorSchedule::Fixed,
-            "legacy fixed schedule by default — the pins depend on it"
+            "eta file by default — the pins depend on it"
         );
         assert!(!lp.profile, "timers are opt-in");
         let mip = MipOptions::default();
@@ -352,17 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn pricing_names_roundtrip() {
-        for p in [Pricing::Dantzig, Pricing::Devex] {
-            assert_eq!(Pricing::parse(p.as_str()), Some(p));
-            assert_eq!(Pricing::parse(&p.as_str().to_uppercase()), Some(p));
-            assert_eq!(format!("{p}"), p.as_str());
-        }
-        assert_eq!(Pricing::parse("steepest"), None);
-        assert_eq!(Pricing::parse("bland"), None);
-    }
-
-    #[test]
     fn basis_update_names_roundtrip() {
         for b in [BasisUpdate::Eta, BasisUpdate::FtMarkowitz] {
             assert_eq!(BasisUpdate::parse(b.as_str()), Some(b));
@@ -371,16 +268,6 @@ mod tests {
         }
         assert_eq!(BasisUpdate::parse("bartels-golub"), None);
         assert_eq!(BasisUpdate::parse("ft"), None);
-    }
-
-    #[test]
-    fn refactor_schedule_names_roundtrip() {
-        for r in [RefactorSchedule::Fixed, RefactorSchedule::Dynamic] {
-            assert_eq!(RefactorSchedule::parse(r.as_str()), Some(r));
-            assert_eq!(RefactorSchedule::parse(&r.as_str().to_uppercase()), Some(r));
-            assert_eq!(format!("{r}"), r.as_str());
-        }
-        assert_eq!(RefactorSchedule::parse("never"), None);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A [`SimplexProfile`] is accumulated inside every LP solve and carried out
 //! on [`LpOutcome`](crate::LpOutcome); branch-and-bound merges the per-node
 //! profiles into [`MipStats`](crate::MipStats) (serial and parallel alike),
-//! where the CLI's `--stats` flag and the `tables -- simplex` experiment
+//! where the CLI's `--stats` flag, the bench rows and `perfbench --trace 1`
 //! read them. Counters are always collected; the wall-clock section timers
 //! are gated behind [`LpOptions::profile`](crate::LpOptions::profile)
 //! because they cost a few `Instant::now` calls per iteration.
@@ -262,6 +262,17 @@ pub(crate) fn tock(start: Option<Instant>, acc: &mut f64) {
     }
 }
 
+/// Ends the section started at `mark` into `acc` and starts the next one
+/// at the same instant, so back-to-back sections of a pivot loop leave no
+/// untimed gap between them and cost one clock read each.
+pub(crate) fn lap(mark: &mut Option<Instant>, acc: &mut f64) {
+    if let Some(t) = mark {
+        let now = Instant::now();
+        *acc += (now - *t).as_secs_f64();
+        *t = now;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,5 +373,22 @@ mod tests {
         assert_eq!(acc, 0.0);
         tock(tick(true), &mut acc);
         assert!(acc >= 0.0);
+        let mut mark = tick(false);
+        lap(&mut mark, &mut acc);
+        assert!(mark.is_none());
+    }
+
+    #[test]
+    fn lap_restarts_the_section_at_its_end() {
+        let (mut a, mut b) = (0.0, 0.0);
+        let start = tick(true);
+        let mut mark = start;
+        lap(&mut mark, &mut a);
+        lap(&mut mark, &mut b);
+        let total = start.map_or(0.0, |t| (mark.unwrap_or(t) - t).as_secs_f64());
+        assert!(
+            (a + b - total).abs() < 1e-12,
+            "laps tile the interval without gaps"
+        );
     }
 }

@@ -3,11 +3,15 @@
 //!
 //! The basis is maintained behind [`BasisRepr`]: either a sparse LU
 //! factorization ([`crate::lu::LuFactors`]) plus a product-form eta file
-//! (the pinned legacy default), or Forrest–Tomlin-updated factors
+//! (the pinned default), or Forrest–Tomlin-updated factors
 //! ([`crate::ft::FtFactors`], [`BasisUpdate::FtMarkowitz`]).
-//! The factorization is rebuilt every [`LpOptions::refactor_every`] pivots
-//! under the fixed schedule, or when measured fill-in growth crosses a
-//! threshold under [`RefactorSchedule::Dynamic`].
+//! Each kernel carries its own refactorization schedule: the eta file is
+//! rebuilt every [`LpOptions::refactor_every`] pivots, Forrest–Tomlin
+//! factors when measured fill-in growth crosses a threshold.
+//!
+//! One engine runs both directions: the primal keeps its reduced costs
+//! incrementally and prices by devex, the dual uses the bound-flipping
+//! ratio test, and both use hypersparse FTRAN/BTRAN.
 //!
 //! Style note: the numerical kernels iterate dense work arrays by index on
 //! purpose (several arrays are updated in lockstep); the iterator forms
@@ -19,9 +23,9 @@ use std::time::Instant;
 use crate::ft::FtFactors;
 use crate::internal::CoreLp;
 use crate::lu::{LuFactors, LuScratch};
-use crate::options::{BasisUpdate, LpOptions, Pricing, RefactorSchedule};
+use crate::options::{BasisUpdate, LpOptions};
 use crate::problem::{LpError, Problem};
-use crate::profile::{tick, tock, SimplexProfile};
+use crate::profile::{lap, tick, tock, SimplexProfile};
 use crate::status::LpStatus;
 use crate::tol::{is_neg_infinite, is_nonzero, is_pos_infinite, is_zero};
 
@@ -80,11 +84,10 @@ struct Eta {
 /// The maintained representation of the basis inverse, selected by
 /// [`LpOptions::basis_update`].
 ///
-/// The `Eta` variant is the legacy product-form scheme whose pivot
-/// sequence the golden tests pin; its code paths are byte-identical to the
-/// pre-[`FtFactors`] solver. The `Ft` variant applies Forrest–Tomlin
-/// updates directly to the U factor instead of appending etas, which keeps
-/// FTRAN/BTRAN cost flat as pivots accumulate.
+/// The `Eta` variant is the product-form scheme of the default kernel,
+/// whose pivot sequence the golden tests pin. The `Ft` variant applies
+/// Forrest–Tomlin updates directly to the U factor instead of appending
+/// etas, which keeps FTRAN/BTRAN cost flat as pivots accumulate.
 // One instance lives per solve (never in a collection), so the size gap
 // between variants costs nothing; boxing would tax every FTRAN/BTRAN.
 #[allow(clippy::large_enum_variant)]
@@ -99,20 +102,6 @@ impl BasisRepr {
         match self {
             BasisRepr::Eta { etas, .. } => etas.len(),
             BasisRepr::Ft(ft) => ft.updates_len(),
-        }
-    }
-
-    /// Stored nonzeros now relative to the factorization baseline — the
-    /// dynamic refactorization trigger's fill-growth measure (`1.0` right
-    /// after a refactorization).
-    fn fill_ratio(&self) -> f64 {
-        match self {
-            BasisRepr::Eta { lu, etas } => {
-                let base = lu.nnz();
-                let eta_nnz: usize = etas.iter().map(|e| e.entries.len() + 1).sum();
-                (base + eta_nnz) as f64 / base.max(1) as f64
-            }
-            BasisRepr::Ft(ft) => ft.fill_ratio(),
         }
     }
 }
@@ -296,14 +285,6 @@ impl<'a> Simplex<'a> {
         }
     }
 
-    fn ftran(&self, buf: &mut [f64]) {
-        Self::basis_ftran(&self.basis, buf);
-    }
-
-    fn btran(&self, buf: &mut [f64]) {
-        Self::basis_btran(&self.basis, buf);
-    }
-
     /// Hypersparse FTRAN: `pattern` holds the nonzeros of `buf` on entry and
     /// a superset of the nonzeros (no duplicates) on exit. Falls back to the
     /// dense kernel when the rhs is already dense-ish. `mask` must be all
@@ -390,7 +371,7 @@ impl<'a> Simplex<'a> {
         lu.btran_sparse(buf, pattern, lsc);
     }
 
-    /// Hypersparse FTRAN dispatch: the legacy pairing of
+    /// Hypersparse FTRAN dispatch: the eta pairing of
     /// [`apply_ftran_sparse`](Self::apply_ftran_sparse), or the FT kernel
     /// with the same dense-ish fallback heuristic.
     fn basis_ftran_sparse(
@@ -471,30 +452,25 @@ impl<'a> Simplex<'a> {
         Ok(())
     }
 
-    /// Whether the basis representation is due for a rebuild.
+    /// Whether the basis representation is due for a rebuild. The schedule
+    /// belongs to the kernel.
     ///
-    /// [`RefactorSchedule::Fixed`] reproduces the legacy schedule exactly:
-    /// rebuild after [`LpOptions::refactor_every`] recorded updates.
-    /// [`RefactorSchedule::Dynamic`] rebuilds on measured fill-in growth
+    /// The eta file rebuilds after exactly [`LpOptions::refactor_every`]
+    /// recorded updates, since every eta lengthens each FTRAN/BTRAN.
+    /// Forrest–Tomlin factors rebuild on measured fill-in growth
     /// ([`DYNAMIC_FILL_LIMIT`]) with an update-count backstop
-    /// ([`DYNAMIC_UPDATE_CAP`]); the stability half of the trigger is the
+    /// ([`DYNAMIC_UPDATE_CAP`]); the stability half of that trigger is the
     /// Forrest–Tomlin pivot test itself, whose rejection refactorizes
     /// immediately in [`update_basis`](Self::update_basis).
     fn should_refactor(&self) -> bool {
-        match self.opts.refactor {
-            RefactorSchedule::Fixed => self.basis.updates_len() >= self.opts.refactor_every,
-            RefactorSchedule::Dynamic => {
-                self.basis.fill_ratio() > DYNAMIC_FILL_LIMIT
-                    || self.basis.updates_len() >= DYNAMIC_UPDATE_CAP * self.opts.refactor_every
+        let every = self.opts.refactor_every;
+        match &self.basis {
+            BasisRepr::Eta { etas, .. } => etas.len() >= every,
+            BasisRepr::Ft(ft) => {
+                ft.fill_ratio() > DYNAMIC_FILL_LIMIT
+                    || ft.updates_len() >= DYNAMIC_UPDATE_CAP * every
             }
         }
-    }
-
-    fn maybe_refactor(&mut self) -> Result<(), LpError> {
-        if self.should_refactor() {
-            self.refactor()?;
-        }
-        Ok(())
     }
 
     /// Reduced costs `d_j = c_j − y·a_j` for all columns (basic ones ≈ 0),
@@ -520,41 +496,6 @@ impl<'a> Simplex<'a> {
         tock(t, &mut self.profile.pricing_secs);
     }
 
-    /// [`reduced_costs_into`](Self::reduced_costs_into) targeting
-    /// `scratch.d` (the common case).
-    fn update_reduced_costs(&mut self, costs: &[f64]) {
-        let mut d = std::mem::take(&mut self.scratch.d);
-        self.reduced_costs_into(costs, &mut d);
-        self.scratch.d = d;
-    }
-
-    /// Dantzig (or Bland, under degeneracy) pricing. Returns the entering
-    /// column, or `None` at optimality.
-    fn price(&self, d: &[f64], bland: bool) -> Option<usize> {
-        let tol = self.opts.opt_tol;
-        let mut best: Option<(usize, f64)> = None;
-        for j in 0..self.core.n {
-            if self.stat[j] == VStat::Basic || self.lower[j] == self.upper[j] {
-                continue;
-            }
-            let viol = match self.stat[j] {
-                VStat::AtLower => (-d[j] - tol).max(0.0),
-                VStat::AtUpper => (d[j] - tol).max(0.0),
-                VStat::Free => (d[j].abs() - tol).max(0.0),
-                VStat::Basic => 0.0,
-            };
-            if viol > 0.0 {
-                if bland {
-                    return Some(j);
-                }
-                if best.is_none_or(|(_, bv)| viol > bv) {
-                    best = Some((j, viol));
-                }
-            }
-        }
-        best.map(|(j, _)| j)
-    }
-
     /// Objective value of the current (possibly mid-pivot) iterate.
     fn current_objective(&self, costs: &[f64]) -> f64 {
         let mut obj = 0.0;
@@ -571,186 +512,21 @@ impl<'a> Simplex<'a> {
         obj
     }
 
-    /// One primal phase with cost vector `costs`. Returns `Optimal` or
-    /// `Unbounded`. When `stop_at` is set, the phase also ends (reported as
-    /// `Optimal`) once the objective reaches that value — used to cut phase 1
-    /// short at zero infeasibility instead of stalling on degenerate pivots.
-    ///
-    /// Dispatch: [`Pricing::Dantzig`] runs the legacy full-pricing engine
-    /// whose pivot sequence is pinned by golden tests; devex and the
-    /// ladder's forced Bland rule run the incremental engine.
-    fn primal(&mut self, costs: &[f64], stop_at: Option<f64>) -> Result<LpStatus, LpError> {
-        match self.opts.pricing {
-            Pricing::Dantzig if !self.bland => self.primal_dantzig(costs, stop_at),
-            _ => self.primal_incremental(costs, stop_at),
-        }
-    }
-
-    fn primal_dantzig(&mut self, costs: &[f64], stop_at: Option<f64>) -> Result<LpStatus, LpError> {
-        loop {
-            if self.iterations >= self.opts.max_iterations {
-                return Err(LpError::IterationLimit);
-            }
-            if self.hit_deadline() {
-                return Err(LpError::Timeout);
-            }
-            self.maybe_refactor()?;
-            if let Some(target) = stop_at {
-                let t = tick(self.timers);
-                let reached = self.current_objective(costs) <= target + self.opts.feas_tol;
-                tock(t, &mut self.profile.other_secs);
-                if reached {
-                    return Ok(LpStatus::Optimal);
-                }
-            }
-            if self.iterations.is_multiple_of(1000) && std::env::var("SIMPLEX_TRACE").is_ok() {
-                let obj: f64 = self
-                    .basic
-                    .iter()
-                    .zip(&self.xb)
-                    .map(|(&c, &v)| costs[c] * v)
-                    .sum();
-                eprintln!(
-                    "iter {} obj {:.6} degen_streak {}",
-                    self.iterations, obj, self.degen_streak
-                );
-            }
-            self.update_reduced_costs(costs);
-            let bland = self.degen_streak > 40;
-            let tp = tick(self.timers);
-            let entering = self.price(&self.scratch.d, bland);
-            tock(tp, &mut self.profile.pricing_secs);
-            let Some(q) = entering else {
-                return Ok(LpStatus::Optimal);
-            };
-            // Direction of the entering variable.
-            let dir = match self.stat[q] {
-                VStat::AtLower => 1.0,
-                VStat::AtUpper => -1.0,
-                VStat::Free => {
-                    if self.scratch.d[q] < 0.0 {
-                        1.0
-                    } else {
-                        -1.0
-                    }
-                }
-                VStat::Basic => unreachable!(),
-            };
-            // FTRAN of the entering column (dense scratch, zeroed on reuse).
-            let mut w = std::mem::take(&mut self.scratch.w);
-            w.fill(0.0);
-            for (r, v) in self.core.a.col(q) {
-                w[r] = v;
-            }
-            let tf = tick(self.timers);
-            self.ftran(&mut w);
-            tock(tf, &mut self.profile.ftran_secs);
-            // Ratio test.
-            let tr = tick(self.timers);
-            let gap = self.upper[q] - self.lower[q];
-            let mut t_best = if gap.is_finite() { gap } else { f64::INFINITY };
-            let mut leave: Option<(usize, VStat)> = None; // (basis pos, bound hit)
-            let mut leave_piv = 0.0f64;
-            for i in 0..self.core.m {
-                let wi = w[i];
-                if wi.abs() <= self.opts.pivot_tol {
-                    continue;
-                }
-                let bcol = self.basic[i];
-                let delta = dir * wi; // x_B[i] moves by −t·delta
-                let (t_i, hit) = if delta > 0.0 {
-                    let lo = self.lower[bcol];
-                    if is_neg_infinite(lo) {
-                        continue;
-                    }
-                    (((self.xb[i] - lo) / delta).max(0.0), VStat::AtLower)
-                } else {
-                    let hi = self.upper[bcol];
-                    if is_pos_infinite(hi) {
-                        continue;
-                    }
-                    (((self.xb[i] - hi) / delta).max(0.0), VStat::AtUpper)
-                };
-                let better = if bland {
-                    // Bland's anti-cycling rule needs the smallest-index
-                    // leaving variable among ties, not the largest pivot.
-                    t_i < t_best - 1e-12
-                        || (t_i < t_best + 1e-12
-                            && leave.is_none_or(|(li, _)| bcol < self.basic[li]))
-                } else {
-                    t_i < t_best - 1e-12 || (t_i < t_best + 1e-12 && wi.abs() > leave_piv.abs())
-                };
-                if better {
-                    t_best = t_i;
-                    leave = Some((i, hit));
-                    leave_piv = wi;
-                }
-            }
-            tock(tr, &mut self.profile.ratio_secs);
-            if t_best.is_infinite() {
-                self.scratch.w = w;
-                return Ok(LpStatus::Unbounded);
-            }
-            self.iterations += 1;
-            self.profile.primal_iterations += 1;
-            if t_best <= 1e-10 {
-                self.degen_streak += 1;
-            } else {
-                self.degen_streak = 0;
-            }
-            // Apply the step.
-            let t = t_best;
-            for i in 0..self.core.m {
-                if is_nonzero(w[i]) {
-                    self.xb[i] -= t * dir * w[i];
-                }
-            }
-            match leave {
-                None => {
-                    // Bound flip of the entering variable.
-                    self.stat[q] = match self.stat[q] {
-                        VStat::AtLower => VStat::AtUpper,
-                        VStat::AtUpper => VStat::AtLower,
-                        s => s,
-                    };
-                    self.profile.bound_flips += 1;
-                }
-                Some((r, hit)) => {
-                    let entering_value = self.nonbasic_value(q) + t * dir;
-                    let leaving_col = self.basic[r];
-                    self.stat[leaving_col] = if self.lower[leaving_col] == self.upper[leaving_col] {
-                        VStat::AtLower
-                    } else {
-                        hit
-                    };
-                    self.stat[q] = VStat::Basic;
-                    self.basic[r] = q;
-                    self.xb[r] = entering_value;
-                    self.update_basis(r, &w, None)?;
-                }
-            }
-            self.scratch.w = w;
-        }
-    }
-
-    /// Records the pivot at basis position `r` (FTRAN column `w`, optional
-    /// nonzero pattern) in the basis representation: the legacy path
-    /// appends a product-form eta, the FT path updates the U factor in
+    /// Records the pivot at basis position `r` (FTRAN column `w` with its
+    /// sorted nonzero pattern `wpat`) in the basis representation: the eta
+    /// path appends a product-form eta, the FT path updates the U factor in
     /// place. A Forrest–Tomlin update rejected as numerically unsafe
     /// refactorizes immediately — `basic[r]`/`stat`/`xb` must already
     /// describe the post-pivot basis when this is called.
-    fn update_basis(&mut self, r: usize, w: &[f64], wpat: Option<&[usize]>) -> Result<(), LpError> {
+    fn update_basis(&mut self, r: usize, w: &[f64], wpat: &[usize]) -> Result<(), LpError> {
         let t = tick(self.timers);
         let ptol = self.opts.pivot_tol;
         let rejected = match &mut self.basis {
             BasisRepr::Eta { etas, .. } => {
-                etas.push(match wpat {
-                    Some(pat) => Self::make_eta_pattern(r, w, pat, ptol),
-                    None => Self::make_eta(r, w, ptol),
-                });
+                etas.push(Self::make_eta(r, w, wpat, ptol));
                 false
             }
-            BasisRepr::Ft(ft) => !ft.update(r, w, wpat, ptol),
+            BasisRepr::Ft(ft) => !ft.update(r, w, Some(wpat), ptol),
         };
         tock(t, &mut self.profile.update_secs);
         if rejected {
@@ -759,22 +535,10 @@ impl<'a> Simplex<'a> {
         Ok(())
     }
 
-    fn make_eta(r: usize, w: &[f64], ptol: f64) -> Eta {
-        let wr = w[r];
-        debug_assert!(wr.abs() > ptol / 10.0, "tiny pivot in eta");
-        let entries: Vec<(usize, f64)> = w
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| i != r && is_nonzero(v))
-            .map(|(i, &v)| (i, v))
-            .collect();
-        Eta { r, entries, wr }
-    }
-
-    /// [`make_eta`](Self::make_eta) from a sparse column: `pat` must be a
+    /// The eta of a pivot on the sparse column `w`: `pat` must be a
     /// duplicate-free superset of the nonzeros of `w`, sorted ascending (eta
     /// entry order is part of the arithmetic in [`apply_btran`](Self::apply_btran)).
-    fn make_eta_pattern(r: usize, w: &[f64], pat: &[usize], ptol: f64) -> Eta {
+    fn make_eta(r: usize, w: &[f64], pat: &[usize], ptol: f64) -> Eta {
         let wr = w[r];
         debug_assert!(wr.abs() > ptol / 10.0, "tiny pivot in eta");
         debug_assert!(pat.windows(2).all(|p| p[0] < p[1]), "pattern not sorted");
@@ -788,7 +552,7 @@ impl<'a> Simplex<'a> {
 
     /// Devex (max `d_j²/w_j`) or Bland (smallest index) pricing over
     /// incrementally maintained reduced costs.
-    fn price_incremental(&self, d: &[f64], bland: bool) -> Option<usize> {
+    fn price(&self, d: &[f64], bland: bool) -> Option<usize> {
         let tol = self.opts.opt_tol;
         let mut best: Option<(usize, f64)> = None;
         for j in 0..self.core.n {
@@ -814,31 +578,28 @@ impl<'a> Simplex<'a> {
         best.map(|(j, _)| j)
     }
 
-    /// Incremental-pricing primal engine behind [`Pricing::Devex`] and the
-    /// retry ladder's Bland rungs.
+    /// One primal phase with cost vector `costs`. Returns `Optimal` or
+    /// `Unbounded`. When `stop_at` is set, the phase also ends (reported as
+    /// `Optimal`) once the objective reaches that value — used to cut phase 1
+    /// short at zero infeasibility instead of stalling on degenerate pivots.
     ///
-    /// Differences from the legacy Dantzig engine:
-    /// * reduced costs are updated from the pivot row `αᵀ = ρᵀ A` after each
-    ///   pivot (`d'_j = d_j − θ·α_j`) instead of recomputed from `Bᵀy = c_B`
-    ///   every iteration, with full recomputes only at refactorizations and
-    ///   once to confirm apparent optimality;
-    /// * devex reference weights steer the entering choice (unless Bland);
+    /// * Reduced costs are updated from the pivot row `αᵀ = ρᵀ A` after each
+    ///   pivot (`d'_j = d_j − θ·α_j`), with full recomputes from `Bᵀy = c_B`
+    ///   only at refactorizations and once to confirm apparent optimality;
+    /// * devex reference weights steer the entering choice (Bland's rule
+    ///   under long degenerate streaks and on the retry ladder's Bland rungs);
     /// * FTRAN/BTRAN are hypersparse (pattern-tracked) and the ratio test
     ///   and basics update only touch the column's nonzeros.
-    fn primal_incremental(
-        &mut self,
-        costs: &[f64],
-        stop_at: Option<f64>,
-    ) -> Result<LpStatus, LpError> {
-        self.update_reduced_costs(costs);
-        self.scratch.devex.fill(1.0);
+    fn primal(&mut self, costs: &[f64], stop_at: Option<f64>) -> Result<LpStatus, LpError> {
         let mut d = std::mem::take(&mut self.scratch.d);
-        let res = self.primal_incremental_inner(costs, stop_at, &mut d);
+        self.reduced_costs_into(costs, &mut d);
+        self.scratch.devex.fill(1.0);
+        let res = self.primal_inner(costs, stop_at, &mut d);
         self.scratch.d = d;
         res
     }
 
-    fn primal_incremental_inner(
+    fn primal_inner(
         &mut self,
         costs: &[f64],
         stop_at: Option<f64>,
@@ -850,6 +611,10 @@ impl<'a> Simplex<'a> {
         // one full recompute before returning.
         let mut fresh = true;
         loop {
+            // Section timer, lapped into one bucket after another; calls
+            // that time themselves (refactor, full pricing, basis update)
+            // restart it.
+            let mut mark = tick(self.timers);
             if self.iterations >= self.opts.max_iterations {
                 return Err(LpError::IterationLimit);
             }
@@ -860,19 +625,18 @@ impl<'a> Simplex<'a> {
                 self.refactor()?;
                 self.reduced_costs_into(costs, d);
                 fresh = true;
+                mark = tick(self.timers);
             }
             if let Some(target) = stop_at {
-                let t = tick(self.timers);
                 let reached = self.current_objective(costs) <= target + self.opts.feas_tol;
-                tock(t, &mut self.profile.other_secs);
+                lap(&mut mark, &mut self.profile.other_secs);
                 if reached {
                     return Ok(LpStatus::Optimal);
                 }
             }
             let bland = self.bland || self.degen_streak > 40;
-            let tp = tick(self.timers);
-            let entering = self.price_incremental(d, bland);
-            tock(tp, &mut self.profile.pricing_secs);
+            let entering = self.price(d, bland);
+            lap(&mut mark, &mut self.profile.pricing_secs);
             let Some(q) = entering else {
                 if fresh {
                     return Ok(LpStatus::Optimal);
@@ -901,7 +665,6 @@ impl<'a> Simplex<'a> {
                 w[r] = v;
                 wpat.push(r);
             }
-            let tf = tick(self.timers);
             Self::basis_ftran_sparse(
                 &self.basis,
                 &mut w,
@@ -909,12 +672,11 @@ impl<'a> Simplex<'a> {
                 &mut self.scratch.mask,
                 &mut self.scratch.lu,
             );
-            tock(tf, &mut self.profile.ftran_secs);
             // Ascending pattern: the ratio test tie-breaking then matches a
             // dense scan, and eta entries stay ordered.
             wpat.sort_unstable();
+            lap(&mut mark, &mut self.profile.ftran_secs);
             // Ratio test over the column's nonzeros.
-            let tr = tick(self.timers);
             let gap = self.upper[q] - self.lower[q];
             let mut t_best = if gap.is_finite() { gap } else { f64::INFINITY };
             let mut leave: Option<(usize, VStat)> = None; // (basis pos, bound hit)
@@ -952,7 +714,7 @@ impl<'a> Simplex<'a> {
                     leave_piv = wi;
                 }
             }
-            tock(tr, &mut self.profile.ratio_secs);
+            lap(&mut mark, &mut self.profile.ratio_secs);
             if t_best.is_infinite() {
                 for &i in &wpat {
                     w[i] = 0.0;
@@ -974,6 +736,7 @@ impl<'a> Simplex<'a> {
                     self.xb[i] -= t * dir * w[i];
                 }
             }
+            lap(&mut mark, &mut self.profile.other_secs);
             match leave {
                 None => {
                     // Bound flip of the entering variable: the basis (and
@@ -988,7 +751,6 @@ impl<'a> Simplex<'a> {
                 Some((r, hit)) => {
                     // Pivot row w.r.t. the *pre-pivot* basis, for the d and
                     // devex updates.
-                    let tb = tick(self.timers);
                     self.scratch.rho[r] = 1.0;
                     self.scratch.rpat.clear();
                     self.scratch.rpat.push(r);
@@ -1000,7 +762,7 @@ impl<'a> Simplex<'a> {
                         &mut self.scratch.lu,
                     );
                     self.form_pivot_row();
-                    tock(tb, &mut self.profile.btran_secs);
+                    lap(&mut mark, &mut self.profile.btran_secs);
                     let alpha_q = if self.scratch.amask[q] {
                         self.scratch.alpha[q]
                     } else {
@@ -1016,13 +778,15 @@ impl<'a> Simplex<'a> {
                     self.stat[q] = VStat::Basic;
                     self.basic[r] = q;
                     self.xb[r] = entering_value;
-                    self.update_basis(r, &w, Some(&wpat))?;
-                    let tp2 = tick(self.timers);
+                    lap(&mut mark, &mut self.profile.other_secs);
+                    self.update_basis(r, &w, &wpat)?;
+                    mark = tick(self.timers);
                     if alpha_q.abs() <= ptol {
                         // FTRAN and BTRAN disagree about the pivot; a full
                         // recompute is safer than an incremental update.
                         self.reduced_costs_into(costs, d);
                         fresh = true;
+                        mark = tick(self.timers);
                     } else {
                         let theta = d[q] / alpha_q;
                         let wq = self.scratch.devex[q].max(1.0);
@@ -1057,8 +821,8 @@ impl<'a> Simplex<'a> {
                         }
                         fresh = false;
                     }
-                    tock(tp2, &mut self.profile.pricing_secs);
                     self.clear_alpha();
+                    lap(&mut mark, &mut self.profile.pricing_secs);
                 }
             }
             for &i in &wpat {
@@ -1066,23 +830,8 @@ impl<'a> Simplex<'a> {
             }
             self.scratch.w = w;
             self.scratch.wpat = wpat;
+            lap(&mut mark, &mut self.profile.other_secs);
         }
-    }
-
-    /// Dual simplex: restores primal feasibility while keeping dual
-    /// feasibility. Requires a dual-feasible starting basis.
-    ///
-    /// Dispatch mirrors [`primal`](Self::primal): Dantzig keeps the pinned
-    /// legacy engine; devex runs the bound-flipping (long-step) ratio test
-    /// with hypersparse solves.
-    fn dual(&mut self, costs: &[f64]) -> Result<LpStatus, WarmFail> {
-        let mut d = std::mem::take(&mut self.scratch.d);
-        let res = match self.opts.pricing {
-            Pricing::Dantzig => self.dual_dantzig(costs, &mut d),
-            Pricing::Devex => self.dual_bfrt(costs, &mut d),
-        };
-        self.scratch.d = d;
-        res
     }
 
     /// Checks dual feasibility of the starting basis against `d`.
@@ -1105,184 +854,10 @@ impl<'a> Simplex<'a> {
         true
     }
 
-    fn dual_dantzig(&mut self, costs: &[f64], d: &mut Vec<f64>) -> Result<LpStatus, WarmFail> {
-        // Verify dual feasibility of the start.
-        self.reduced_costs_into(costs, d);
-        if !self.start_is_dual_feasible(d) {
-            return Err(WarmFail::NotDualFeasible);
-        }
-        let mut alpha = std::mem::take(&mut self.scratch.alpha);
-        let res = self.dual_dantzig_inner(costs, d, &mut alpha);
-        self.scratch.alpha = alpha;
-        res
-    }
-
-    /// Legacy dual loop. Reduced costs are maintained incrementally across
-    /// dual pivots (`d'_j = d_j − θ·α_j`) and refreshed from scratch at
-    /// every refactorization to bound drift.
-    fn dual_dantzig_inner(
-        &mut self,
-        costs: &[f64],
-        d: &mut Vec<f64>,
-        alpha: &mut [f64],
-    ) -> Result<LpStatus, WarmFail> {
-        loop {
-            if self.iterations >= self.opts.max_iterations {
-                return Err(WarmFail::Error(LpError::IterationLimit));
-            }
-            if self.iterations >= self.opts.dual_iteration_cap {
-                // Degenerate grind: let the caller fall back to a cold solve.
-                return Err(WarmFail::NotDualFeasible);
-            }
-            if self.hit_deadline() {
-                return Err(WarmFail::Error(LpError::Timeout));
-            }
-            if self.should_refactor() {
-                self.refactor().map_err(WarmFail::Error)?;
-                self.reduced_costs_into(costs, d);
-            }
-            // Leaving: most violated basic.
-            let tl = tick(self.timers);
-            let ftol = self.opts.feas_tol;
-            let mut leave: Option<(usize, f64, bool)> = None; // (pos, viol, at_lower_violation)
-            for i in 0..self.core.m {
-                let col = self.basic[i];
-                let below = self.lower[col] - self.xb[i];
-                let above = self.xb[i] - self.upper[col];
-                if below > ftol && leave.is_none_or(|(_, v, _)| below > v) {
-                    leave = Some((i, below, true));
-                }
-                if above > ftol && leave.is_none_or(|(_, v, _)| above > v) {
-                    leave = Some((i, above, false));
-                }
-            }
-            tock(tl, &mut self.profile.pricing_secs);
-            let Some((r, _viol, low_viol)) = leave else {
-                return Ok(LpStatus::Optimal);
-            };
-            // Row r of B⁻¹N: rho = B⁻ᵀ e_r, alpha_j = rho·a_j.
-            let mut rho = std::mem::take(&mut self.scratch.rho);
-            rho.fill(0.0);
-            rho[r] = 1.0;
-            let tb = tick(self.timers);
-            self.btran(&mut rho);
-            tock(tb, &mut self.profile.btran_secs);
-            // Dual ratio test.
-            let tr = tick(self.timers);
-            let ptol = self.opts.pivot_tol;
-            let mut best: Option<(usize, f64, f64)> = None; // (col, step s, alpha)
-            for j in 0..self.core.n {
-                alpha[j] = 0.0;
-                if self.stat[j] == VStat::Basic || self.lower[j] == self.upper[j] {
-                    continue;
-                }
-                let aj = self.core.a.col_dot(j, &rho);
-                alpha[j] = aj;
-                if aj.abs() <= ptol {
-                    continue;
-                }
-                let eligible = if low_viol {
-                    // x_Br must increase.
-                    match self.stat[j] {
-                        VStat::AtLower => aj < 0.0,
-                        VStat::AtUpper => aj > 0.0,
-                        VStat::Free => true,
-                        VStat::Basic => false,
-                    }
-                } else {
-                    // x_Br must decrease.
-                    match self.stat[j] {
-                        VStat::AtLower => aj > 0.0,
-                        VStat::AtUpper => aj < 0.0,
-                        VStat::Free => true,
-                        VStat::Basic => false,
-                    }
-                };
-                if !eligible {
-                    continue;
-                }
-                // Max dual step before d_j flips sign.
-                let s = (d[j] / aj).abs().max(0.0);
-                if best.is_none_or(|(_, bs, ba)| {
-                    s < bs - 1e-12 || (s < bs + 1e-12 && aj.abs() > ba.abs())
-                }) {
-                    best = Some((j, s, aj));
-                }
-            }
-            tock(tr, &mut self.profile.ratio_secs);
-            self.scratch.rho = rho;
-            let Some((q, _s, alpha_q)) = best else {
-                // Dual unbounded ⇒ primal infeasible.
-                return Ok(LpStatus::Infeasible);
-            };
-            self.iterations += 1;
-            self.profile.dual_iterations += 1;
-            // Primal pivot.
-            let mut w = std::mem::take(&mut self.scratch.w);
-            w.fill(0.0);
-            for (row, v) in self.core.a.col(q) {
-                w[row] = v;
-            }
-            let tf = tick(self.timers);
-            self.ftran(&mut w);
-            tock(tf, &mut self.profile.ftran_secs);
-            let wr = w[r];
-            if wr.abs() <= ptol {
-                self.scratch.w = w;
-                // Numerical disagreement between rho·a_q and the FTRAN column;
-                // refactor once and retry, else give up to the cold path.
-                if self.basis.updates_len() == 0 {
-                    return Err(WarmFail::NotDualFeasible);
-                }
-                self.refactor().map_err(WarmFail::Error)?;
-                self.reduced_costs_into(costs, d);
-                continue;
-            }
-            let target = if low_viol {
-                self.lower[self.basic[r]]
-            } else {
-                self.upper[self.basic[r]]
-            };
-            let t = (self.xb[r] - target) / wr;
-            for i in 0..self.core.m {
-                if is_nonzero(w[i]) {
-                    self.xb[i] -= t * w[i];
-                }
-            }
-            let entering_value = self.nonbasic_value(q) + t;
-            let leaving_col = self.basic[r];
-            // A leaving fixed column (l == u) rests at its (single) bound.
-            self.stat[leaving_col] =
-                if low_viol || self.lower[leaving_col] == self.upper[leaving_col] {
-                    VStat::AtLower
-                } else {
-                    VStat::AtUpper
-                };
-            self.stat[q] = VStat::Basic;
-            self.basic[r] = q;
-            self.xb[r] = entering_value;
-            self.update_basis(r, &w, None).map_err(WarmFail::Error)?;
-            self.scratch.w = w;
-            // Incremental reduced-cost update: d'_j = d_j − θ·α_j, with the
-            // leaving column picking up d = −θ and the entering one 0.
-            let tp = tick(self.timers);
-            let theta = d[q] / alpha_q;
-            if is_nonzero(theta) {
-                for j in 0..self.core.n {
-                    if is_nonzero(alpha[j]) {
-                        d[j] -= theta * alpha[j];
-                    }
-                }
-            }
-            d[q] = 0.0;
-            d[leaving_col] = -theta;
-            tock(tp, &mut self.profile.pricing_secs);
-        }
-    }
-
     /// Dual simplex with the bound-flipping (long-step) ratio test and
-    /// hypersparse solves — the engine behind [`Pricing::Devex`] warm
-    /// restarts.
+    /// hypersparse solves, for warm restarts after bound changes: restores
+    /// primal feasibility while keeping dual feasibility. Requires a
+    /// dual-feasible starting basis.
     ///
     /// Breakpoints of the piecewise-linear dual objective are walked in
     /// ascending ratio order; a *boxed* column whose flip keeps the dual
@@ -1290,7 +865,14 @@ impl<'a> Simplex<'a> {
     /// instead of terminating the step, so one dual iteration can do the
     /// work of many — particularly effective on 0-1 models where most
     /// columns are boxed.
-    fn dual_bfrt(&mut self, costs: &[f64], d: &mut Vec<f64>) -> Result<LpStatus, WarmFail> {
+    fn dual(&mut self, costs: &[f64]) -> Result<LpStatus, WarmFail> {
+        let mut d = std::mem::take(&mut self.scratch.d);
+        let res = self.dual_inner(costs, &mut d);
+        self.scratch.d = d;
+        res
+    }
+
+    fn dual_inner(&mut self, costs: &[f64], d: &mut Vec<f64>) -> Result<LpStatus, WarmFail> {
         self.reduced_costs_into(costs, d);
         if !self.start_is_dual_feasible(d) {
             return Err(WarmFail::NotDualFeasible);
@@ -1298,6 +880,8 @@ impl<'a> Simplex<'a> {
         let ptol = self.opts.pivot_tol;
         let ftol = self.opts.feas_tol;
         loop {
+            // Lapped section timer, as in the primal loop.
+            let mut mark = tick(self.timers);
             if self.iterations >= self.opts.max_iterations {
                 return Err(WarmFail::Error(LpError::IterationLimit));
             }
@@ -1311,9 +895,9 @@ impl<'a> Simplex<'a> {
             if self.should_refactor() {
                 self.refactor().map_err(WarmFail::Error)?;
                 self.reduced_costs_into(costs, d);
+                mark = tick(self.timers);
             }
-            // Leaving: most violated basic (same rule as the legacy engine).
-            let tl = tick(self.timers);
+            // Leaving: most violated basic.
             let mut leave: Option<(usize, f64, bool)> = None;
             for i in 0..self.core.m {
                 let col = self.basic[i];
@@ -1328,12 +912,11 @@ impl<'a> Simplex<'a> {
                     leave = Some((i, viol, low));
                 }
             }
-            tock(tl, &mut self.profile.pricing_secs);
+            lap(&mut mark, &mut self.profile.pricing_secs);
             let Some((r, viol, low_viol)) = leave else {
                 return Ok(LpStatus::Optimal);
             };
             // ρ = B⁻ᵀ e_r (hypersparse) and the pivot row αᵀ = ρᵀ A.
-            let tb = tick(self.timers);
             self.scratch.rho[r] = 1.0;
             self.scratch.rpat.clear();
             self.scratch.rpat.push(r);
@@ -1345,11 +928,10 @@ impl<'a> Simplex<'a> {
                 &mut self.scratch.lu,
             );
             self.form_pivot_row();
-            tock(tb, &mut self.profile.btran_secs);
+            lap(&mut mark, &mut self.profile.btran_secs);
             // Bound-flipping ratio test: collect breakpoints, walk them in
             // ascending ratio order flipping boxed columns while the slope
             // stays positive.
-            let tr = tick(self.timers);
             {
                 let s = &mut self.scratch;
                 s.breakpoints.clear();
@@ -1444,7 +1026,7 @@ impl<'a> Simplex<'a> {
                     }
                 }
             }
-            tock(tr, &mut self.profile.ratio_secs);
+            lap(&mut mark, &mut self.profile.ratio_secs);
             let Some((_, q)) = chosen else {
                 // Every breakpoint flips and infeasibility remains: the dual
                 // is unbounded along this row ⇒ the primal is infeasible.
@@ -1461,7 +1043,6 @@ impl<'a> Simplex<'a> {
                 w[row] = v;
                 wpat.push(row);
             }
-            let tf = tick(self.timers);
             Self::basis_ftran_sparse(
                 &self.basis,
                 &mut w,
@@ -1469,8 +1050,8 @@ impl<'a> Simplex<'a> {
                 &mut self.scratch.mask,
                 &mut self.scratch.lu,
             );
-            tock(tf, &mut self.profile.ftran_secs);
             wpat.sort_unstable();
+            lap(&mut mark, &mut self.profile.ftran_secs);
             let wr = w[r];
             if wr.abs() <= ptol {
                 for &i in &wpat {
@@ -1491,7 +1072,6 @@ impl<'a> Simplex<'a> {
             // Apply the accumulated bound flips: their combined effect on
             // x_B is one batched FTRAN of Σ Δx_j·a_j.
             if !self.scratch.flips.is_empty() {
-                let tfl = tick(self.timers);
                 {
                     let core = self.core;
                     let s = &mut self.scratch;
@@ -1534,7 +1114,7 @@ impl<'a> Simplex<'a> {
                     s.rhs_pat.clear();
                     self.profile.bound_flips += s.flips.len();
                 }
-                tock(tfl, &mut self.profile.ftran_secs);
+                lap(&mut mark, &mut self.profile.ftran_secs);
             }
             // Pivot, against the post-flip basic values.
             let target = if low_viol {
@@ -1560,8 +1140,9 @@ impl<'a> Simplex<'a> {
             self.stat[q] = VStat::Basic;
             self.basic[r] = q;
             self.xb[r] = entering_value;
-            self.update_basis(r, &w, Some(&wpat))
-                .map_err(WarmFail::Error)?;
+            lap(&mut mark, &mut self.profile.other_secs);
+            self.update_basis(r, &w, &wpat).map_err(WarmFail::Error)?;
+            mark = tick(self.timers);
             for &i in &wpat {
                 w[i] = 0.0;
             }
@@ -1571,7 +1152,6 @@ impl<'a> Simplex<'a> {
             // updated by the same formula: passing their breakpoint flips
             // the sign of their reduced cost, which their new bound status
             // makes dual feasible.
-            let tp = tick(self.timers);
             let theta = d[q] / alpha_q;
             if is_nonzero(theta) {
                 let s = &self.scratch;
@@ -1583,8 +1163,8 @@ impl<'a> Simplex<'a> {
             }
             d[q] = 0.0;
             d[leaving_col] = -theta;
-            tock(tp, &mut self.profile.pricing_secs);
             self.clear_alpha();
+            lap(&mut mark, &mut self.profile.pricing_secs);
         }
     }
 
@@ -2508,11 +2088,11 @@ mod tests {
         }
     }
 
-    /// Differential check of the warm dual paths: after a cold solve, each
-    /// bound tightening must warm-resolve to the same status/objective under
-    /// the legacy Dantzig dual and the bound-flipping dual.
+    /// Differential check of the warm dual: after a cold solve, each bound
+    /// tightening must warm-resolve under the bound-flipping dual to the
+    /// same status/objective as a cold primal solve of the tightened LP.
     #[test]
-    fn warm_dual_bfrt_matches_dantzig() {
+    fn warm_dual_bfrt_matches_cold_primal() {
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -2563,28 +2143,25 @@ mod tests {
                     let mut upper = core.upper.clone();
                     lower[j] = fixed;
                     upper[j] = fixed;
-                    let mut od = opts();
-                    od.pricing = Pricing::Dantzig;
-                    let mut ox = opts();
-                    ox.pricing = Pricing::Devex;
-                    let a = solve_core_warm(&core, &lower, &upper, &base.snapshot, &od);
-                    let b = solve_core_warm(&core, &lower, &upper, &base.snapshot, &ox);
-                    let (Ok(a), Ok(b)) = (a, b) else {
-                        // A warm failure on either path falls back to a cold
-                        // solve in B&B; only compare completed warm solves.
+                    let cold = solve_core_cold(&core, &lower, &upper, &opts());
+                    let warm = solve_core_warm(&core, &lower, &upper, &base.snapshot, &opts());
+                    let cold = cold.unwrap_or_else(|e| panic!("trial {trial} cold: {e}"));
+                    let Ok(warm) = warm else {
+                        // A warm failure falls back to a cold solve in B&B;
+                        // only compare completed warm solves.
                         continue;
                     };
                     assert_eq!(
-                        a.status, b.status,
-                        "trial {trial} fix x{j}={fixed}: dantzig {:?} vs bfrt {:?}",
-                        a.status, b.status
+                        cold.status, warm.status,
+                        "trial {trial} fix x{j}={fixed}: cold {:?} vs bfrt {:?}",
+                        cold.status, warm.status
                     );
-                    if a.status == LpStatus::Optimal {
+                    if cold.status == LpStatus::Optimal {
                         assert!(
-                            (a.objective - b.objective).abs() <= 1e-6,
-                            "trial {trial} fix x{j}={fixed}: dantzig obj {} vs bfrt obj {}",
-                            a.objective,
-                            b.objective
+                            (cold.objective - warm.objective).abs() <= 1e-6,
+                            "trial {trial} fix x{j}={fixed}: cold obj {} vs bfrt obj {}",
+                            cold.objective,
+                            warm.objective
                         );
                     }
                 }

@@ -5,7 +5,7 @@
 //! module of the `tempart-audit` `float-eq` lint). Everything here is
 //! `#[inline(always)]` and compiles to the identical comparison it
 //! replaces, so routing a call site through these helpers never changes
-//! behaviour — the Dantzig golden node/iteration pins stay bit-identical.
+//! behaviour — the serial golden node/iteration pins stay bit-identical.
 //!
 //! Two families, with different intent:
 //!

@@ -1,12 +1,11 @@
-//! Basis-kernel integration tests: the Forrest–Tomlin representations and
-//! refactorization schedules must agree with the legacy eta file through
-//! the public API, and the per-phase profile timers must account for the
-//! solve wall clock.
+//! Basis-kernel integration tests: the Forrest–Tomlin kernel must agree
+//! with the default eta file through the public API, and the per-phase
+//! profile timers must account for the solve wall clock.
 
 use proptest::prelude::*;
 use tempart_lp::{
-    solve_lp, BasisUpdate, BranchAndBound, LpOptions, LpStatus, MipOptions, MipStatus, Pricing,
-    Problem, RefactorSchedule, Sense, SimplexProfile, VarKind,
+    solve_lp, BasisUpdate, BranchAndBound, LpOptions, LpStatus, MipOptions, MipStatus, Problem,
+    Sense, SimplexProfile, VarKind,
 };
 
 /// Exhaustive 0-1 reference optimum.
@@ -71,44 +70,31 @@ fn build(mip: &RandomMip) -> Problem {
     p
 }
 
-/// The basis representation × schedule combinations that must all agree
-/// with the legacy default. `refactor_every = 2` forces frequent
-/// refactorizations (and FT update chains spanning them) even on tiny
-/// instances.
-const COMBOS: [(BasisUpdate, RefactorSchedule); 2] = [
-    (BasisUpdate::FtMarkowitz, RefactorSchedule::Fixed),
-    (BasisUpdate::FtMarkowitz, RefactorSchedule::Dynamic),
-];
+/// The basis kernels that must agree with the eta-file default.
+/// `refactor_every = 2` forces frequent refactorizations (and FT update
+/// chains spanning them) even on tiny instances.
+const KERNELS: [BasisUpdate; 1] = [BasisUpdate::FtMarkowitz];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every basis representation and refactorization schedule proves the
-    /// same LP relaxation as the legacy eta file, under both pricing
-    /// engines.
+    /// Every basis kernel proves the same LP relaxation as the eta file.
     #[test]
     fn basis_kernels_agree_on_lp_objective(mip in random_mip()) {
         let p = build(&mip);
-        for pricing in [Pricing::Dantzig, Pricing::Devex] {
-            let base_opts = LpOptions { pricing, ..LpOptions::default() };
-            let base = solve_lp(&p, &base_opts).expect("eta lp");
-            for (basis_update, refactor) in COMBOS {
-                let opts = LpOptions {
-                    pricing,
-                    basis_update,
-                    refactor,
-                    refactor_every: 2,
-                    ..LpOptions::default()
-                };
-                let out = solve_lp(&p, &opts).expect("ft lp");
-                prop_assert_eq!(out.status, base.status,
-                    "{} / {} / {}", pricing, basis_update, refactor);
-                if base.status == LpStatus::Optimal {
-                    prop_assert!((out.objective - base.objective).abs() < 1e-6,
-                        "{} / {} / {}: got {} want {}",
-                        pricing, basis_update, refactor, out.objective, base.objective);
-                    prop_assert!(p.first_violated(&out.x, 1e-5).is_none());
-                }
+        let base = solve_lp(&p, &LpOptions::default()).expect("eta lp");
+        for basis_update in KERNELS {
+            let opts = LpOptions {
+                basis_update,
+                refactor_every: 2,
+                ..LpOptions::default()
+            };
+            let out = solve_lp(&p, &opts).expect("ft lp");
+            prop_assert_eq!(out.status, base.status, "{}", basis_update);
+            if base.status == LpStatus::Optimal {
+                prop_assert!((out.objective - base.objective).abs() < 1e-6,
+                    "{}: got {} want {}", basis_update, out.objective, base.objective);
+                prop_assert!(p.first_violated(&out.x, 1e-5).is_none());
             }
         }
     }
@@ -119,10 +105,9 @@ proptest! {
     fn basis_kernels_agree_on_mip_objective(mip in random_mip()) {
         let p = build(&mip);
         let reference = brute_force(&p);
-        for (basis_update, refactor) in COMBOS {
+        for basis_update in KERNELS {
             let mut opts = MipOptions::default();
             opts.lp.basis_update = basis_update;
-            opts.lp.refactor = refactor;
             opts.lp.refactor_every = 2;
             let out = BranchAndBound::new(&p)
                 .options(opts)
@@ -130,14 +115,12 @@ proptest! {
                 .expect("solver must not error");
             match reference {
                 Some(bobj) => {
-                    prop_assert_eq!(out.status, MipStatus::Optimal,
-                        "{} / {}", basis_update, refactor);
+                    prop_assert_eq!(out.status, MipStatus::Optimal, "{}", basis_update);
                     prop_assert!((out.objective - bobj).abs() < 1e-5,
-                        "{} / {}: got {} want {}", basis_update, refactor, out.objective, bobj);
+                        "{}: got {} want {}", basis_update, out.objective, bobj);
                     prop_assert!(p.first_violated(&out.x, 1e-5).is_none());
                 }
-                None => prop_assert_eq!(out.status, MipStatus::Infeasible,
-                    "{} / {}", basis_update, refactor),
+                None => prop_assert_eq!(out.status, MipStatus::Infeasible, "{}", basis_update),
             }
         }
     }
@@ -194,14 +177,10 @@ fn timing_problem(rows: usize, cols: usize) -> Problem {
 #[test]
 fn profile_sections_account_for_lp_time() {
     let p = timing_problem(24, 24);
-    for (basis_update, refactor) in [
-        (BasisUpdate::Eta, RefactorSchedule::Fixed),
-        (BasisUpdate::FtMarkowitz, RefactorSchedule::Dynamic),
-    ] {
+    for basis_update in [BasisUpdate::Eta, BasisUpdate::FtMarkowitz] {
         let opts = LpOptions {
             profile: true,
             basis_update,
-            refactor,
             ..LpOptions::default()
         };
         let mut total = SimplexProfile::default();
@@ -214,7 +193,7 @@ fn profile_sections_account_for_lp_time() {
         let coverage = total.timed_secs() / total.lp_secs;
         assert!(
             (0.95..=1.01).contains(&coverage),
-            "{basis_update}/{refactor}: section timers cover {:.1}% of lp time \
+            "{basis_update}: section timers cover {:.1}% of lp time \
              (pricing {:.1} ftran {:.1} btran {:.1} ratio {:.1} refactor {:.1} \
              update {:.1} other {:.1} vs lp {:.1} ms)",
             coverage * 100.0,

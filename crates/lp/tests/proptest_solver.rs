@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use tempart_lp::{
     separate_cuts, solve_lp, BranchAndBound, Branching, FirstIndexRule, LpOptions, LpStatus,
-    MipOptions, MipStatus, MostFractionalRule, Pricing, Problem, Sense, VarKind,
+    MipOptions, MipStatus, MostFractionalRule, Problem, Sense, VarKind,
 };
 
 /// Exhaustive 0-1 reference optimum.
@@ -135,46 +135,25 @@ proptest! {
         }
     }
 
-    /// Both pricing rules prove the same LP relaxation: devex follows its
-    /// own pivot sequence but must agree with Dantzig on status and
-    /// objective.
+    /// The default search proves the brute-force 0-1 optimum through the
+    /// full branch-and-bound, exercising the warm-start bound-flipping dual
+    /// at every non-root node.
     #[test]
-    fn pricing_rules_agree_on_lp_objective(mip in random_mip()) {
-        let p = build(&mip);
-        let base = solve_lp(&p, &LpOptions::default()).expect("dantzig lp");
-        let opts = LpOptions { pricing: Pricing::Devex, ..LpOptions::default() };
-        let out = solve_lp(&p, &opts).expect("lp solve");
-        prop_assert_eq!(out.status, base.status);
-        if base.status == LpStatus::Optimal {
-            prop_assert!((out.objective - base.objective).abs() < 1e-6,
-                "devex: got {} want {}", out.objective, base.objective);
-            prop_assert!(p.first_violated(&out.x, 1e-5).is_none());
-        }
-    }
-
-    /// Every pricing rule proves the same 0-1 optimum through the full
-    /// branch-and-bound (exercising the warm-start dual path — bound
-    /// flipping under devex, the legacy ratio test under Dantzig).
-    #[test]
-    fn pricing_rules_agree_on_mip_objective(mip in random_mip()) {
+    fn warm_dual_search_matches_brute_force(mip in random_mip()) {
         let p = build(&mip);
         let reference = brute_force(&p);
-        for pricing in [Pricing::Dantzig, Pricing::Devex] {
-            let mut opts = MipOptions::default();
-            opts.lp.pricing = pricing;
-            let out = BranchAndBound::new(&p)
-                .options(opts)
-                .solve()
-                .expect("solver must not error");
-            match reference {
-                Some(bobj) => {
-                    prop_assert_eq!(out.status, MipStatus::Optimal, "pricing {}", pricing);
-                    prop_assert!((out.objective - bobj).abs() < 1e-5,
-                        "pricing {}: got {} want {}", pricing, out.objective, bobj);
-                    prop_assert!(p.first_violated(&out.x, 1e-5).is_none());
-                }
-                None => prop_assert_eq!(out.status, MipStatus::Infeasible, "pricing {}", pricing),
+        let out = BranchAndBound::new(&p)
+            .options(MipOptions::default())
+            .solve()
+            .expect("solver must not error");
+        match reference {
+            Some(bobj) => {
+                prop_assert_eq!(out.status, MipStatus::Optimal);
+                prop_assert!((out.objective - bobj).abs() < 1e-5,
+                    "got {} want {}", out.objective, bobj);
+                prop_assert!(p.first_violated(&out.x, 1e-5).is_none());
             }
+            None => prop_assert_eq!(out.status, MipStatus::Infeasible),
         }
     }
 

@@ -7,7 +7,7 @@ use tempart::core::{brute, IlpModel, Instance, ModelConfig, SolveOptions};
 use tempart::graph::{
     Bandwidth, ComponentLibrary, FpgaDevice, FunctionGenerators, OpKind, TaskGraphBuilder,
 };
-use tempart::lp::{MipStatus, Pricing};
+use tempart::lp::{BasisUpdate, MipStatus};
 
 #[derive(Debug, Clone)]
 struct SpecShape {
@@ -139,9 +139,10 @@ proptest! {
         }
     }
 
-    /// Devex pricing (incremental engine + bound-flipping dual) proves
-    /// exactly the oracle optimum on real models — the correctness half of
-    /// the pricing determinism contract.
+    /// The devex engine (incremental pricing + bound-flipping dual) proves
+    /// exactly the oracle optimum on real models under the opt-in
+    /// Forrest–Tomlin kernel too: its different float rounding and dynamic
+    /// refactorization schedule must not move any optimum.
     #[test]
     fn devex_ilp_matches_oracle(shape in shape()) {
         let inst = build(&shape);
@@ -149,7 +150,7 @@ proptest! {
         let model = IlpModel::build(inst.clone(), config.clone()).expect("build");
         let oracle = brute::brute_force_optimum(&inst, &config);
         let mut opts = SolveOptions::default();
-        opts.mip.lp.pricing = Pricing::Devex;
+        opts.mip.lp.basis_update = BasisUpdate::FtMarkowitz;
         let out = model.solve(&opts).expect("solve");
         match &oracle {
             Some((_, cost)) => {
