@@ -79,7 +79,7 @@ fn bench_rule_comparison(c: &mut Criterion) {
 
 fn bench_parallel_speedup(c: &mut Criterion) {
     // Serial vs fully parallel node search on the Table 3 workhorse row
-    // (graph 1, N=3, L=1 — 459 serial nodes unseeded). The `tables --
+    // (graph 1, N=3, L=1 — 271 serial nodes unseeded). The `tables --
     // parallel` experiment sweeps intermediate thread counts; this group
     // keeps the two endpoints under criterion sampling.
     let max_threads = std::thread::available_parallelism().map_or(4, |n| n.get());

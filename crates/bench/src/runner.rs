@@ -4,7 +4,7 @@ use std::time::Instant;
 
 use tempart_core::{CoreError, IlpModel, ModelConfig, RuleKind, SolveOptions};
 use tempart_graph::FpgaDevice;
-use tempart_lp::{BasisUpdate, Branching, MipOptions, MipStats, MipStatus};
+use tempart_lp::{Branching, MipOptions, MipStats, MipStatus};
 
 use crate::graphs::{date98_instance, date98_scaled_instance};
 
@@ -45,10 +45,6 @@ pub struct RowConfig {
     /// Variable-selection engine: the static rule (pinned default) or
     /// pseudo-cost branching with reliability initialization.
     pub branching: Branching,
-    /// Simplex basis kernel, with its own refactorization schedule. The
-    /// faithful table reproductions run the pinned eta file; the `kernel`
-    /// experiment compares it with Forrest–Tomlin.
-    pub basis_update: BasisUpdate,
     /// Instance replication factor: `1` solves the paper graph itself, `k >
     /// 1` the deterministic replicate-and-chain scaled instance
     /// ([`date98_scaled_instance`]) — the kernel tier where basis
@@ -169,7 +165,6 @@ pub fn run_row(cfg: &RowConfig) -> Result<ExperimentRow, CoreError> {
         ..MipOptions::default()
     };
     mip.lp.profile = cfg.profile;
-    mip.lp.basis_update = cfg.basis_update;
     let started = Instant::now();
     let out = model.solve(&SolveOptions {
         mip,
@@ -239,7 +234,6 @@ mod tests {
             cuts: false,
             propagate: false,
             branching: Branching::Rule,
-            basis_update: BasisUpdate::Eta,
             scale: 1,
         })
         .unwrap();

@@ -62,16 +62,15 @@ fn serial_search_node_counts_pinned() {
     // must leave this path bit-identical, so any movement here is a solver
     // change, not run-to-run noise. Update together with EXPERIMENTS.md if
     // intentional.
-    // The refactorization counts pin the default kernel's schedule (eta
-    // file, refactor every 64 updates): the FT kernel must leave the
-    // default arithmetic — and therefore its refactor cadence —
-    // bit-identical (DESIGN.md §5h).
+    // The refactorization counts pin the Forrest–Tomlin kernel's
+    // schedule (fill growth, stability rejections, and the update-count
+    // backstop; DESIGN.md §5h).
     type Pin = ((u32, u32), MipStatus, usize, usize, usize, Option<u64>);
     let expected: [Pin; 4] = [
-        ((3, 0), MipStatus::Infeasible, 1, 146, 2, None),
-        ((3, 1), MipStatus::Optimal, 459, 10_411, 60, Some(13)),
-        ((2, 2), MipStatus::Optimal, 141, 9_236, 102, Some(5)),
-        ((2, 3), MipStatus::Optimal, 1, 199, 3, Some(0)),
+        ((3, 0), MipStatus::Infeasible, 1, 139, 2, None),
+        ((3, 1), MipStatus::Optimal, 269, 8_285, 74, Some(13)),
+        ((2, 2), MipStatus::Optimal, 97, 7_277, 90, Some(5)),
+        ((2, 3), MipStatus::Optimal, 1, 168, 1, Some(0)),
     ];
     for ((n, l), status, nodes, lp_iters, refactors, cost) in expected {
         let inst = date98_instance(1, 2, 2, 1, date98_device()).unwrap();
@@ -82,7 +81,7 @@ fn serial_search_node_counts_pinned() {
         assert_eq!(out.stats.lp_iterations, lp_iters, "N{n} L{l} lp iterations");
         assert_eq!(
             out.stats.simplex.refactors, refactors,
-            "N{n} L{l} refactorizations (eta schedule)"
+            "N{n} L{l} refactorizations"
         );
         assert_eq!(
             out.solution.as_ref().map(|s| s.communication_cost()),
@@ -106,18 +105,18 @@ fn serial_search_node_counts_pinned() {
 fn serial_cuts_on_node_counts_pinned() {
     // The same Table 3 rows under the scale layer's root cuts and node
     // propagation (serial, so the search stays deterministic): its own pins
-    // beside the features-off ones above. Same optima, far fewer nodes —
-    // the flagship N3 L1 row shrinks 459 → 46. The N3 L0 row is proven
-    // infeasible by propagation at the root before any node LP is solved
-    // (0 nodes; the 146 iterations are the cut loop's root LP).
+    // beside the features-off ones above. Same optima; the flagship N3 L1
+    // row shrinks 269 → 43 nodes. The N3 L0 row is proven infeasible by
+    // propagation at the root before any node LP is solved (0 nodes; the
+    // 139 iterations are the cut loop's root LP).
     // Movement here means the cut separator, the propagator, or the root
     // loop changed — update together with BENCH_scale.json.
     type Pin = ((u32, u32), MipStatus, usize, usize, Option<u64>);
     let expected: [Pin; 4] = [
-        ((3, 0), MipStatus::Infeasible, 0, 146, None),
-        ((3, 1), MipStatus::Optimal, 46, 4_622, Some(13)),
-        ((2, 2), MipStatus::Optimal, 72, 6_083, Some(5)),
-        ((2, 3), MipStatus::Optimal, 1, 1_711, Some(0)),
+        ((3, 0), MipStatus::Infeasible, 0, 139, None),
+        ((3, 1), MipStatus::Optimal, 43, 4_604, Some(13)),
+        ((2, 2), MipStatus::Optimal, 99, 8_763, Some(5)),
+        ((2, 3), MipStatus::Optimal, 1, 2_317, Some(0)),
     ];
     for ((n, l), status, nodes, lp_iters, cost) in expected {
         let inst = date98_instance(1, 2, 2, 1, date98_device()).unwrap();
@@ -139,7 +138,7 @@ fn serial_cuts_on_node_counts_pinned() {
 
 #[test]
 fn parallel_search_same_optimum_on_flagship_row() {
-    // The hardest Table 3 row of graph 1 (459 serial nodes): 2 and 4 worker
+    // The hardest Table 3 row of graph 1 (269 serial nodes): 2 and 4 worker
     // threads must prove the same optimal communication cost. Node counts
     // are intentionally unchecked — they are nondeterministic above one
     // thread.
@@ -171,7 +170,7 @@ fn parallel_node_counts_stay_bounded_on_paper_rows() {
     // on a stale incumbent). The bound is deliberately loose — steal order
     // legitimately perturbs the visit order — but tight enough to catch a
     // stale-incumbent regression.
-    let serial = 141; // N2 L2 serial pin above
+    let serial = 97; // N2 L2 serial pin above
     for threads in [2usize, 4] {
         let inst = date98_instance(1, 2, 2, 1, date98_device()).unwrap();
         let model = IlpModel::build(inst, ModelConfig::tightened(2, 2)).unwrap();

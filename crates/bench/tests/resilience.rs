@@ -13,7 +13,7 @@ use tempart_lp::{FaultPlan, MipOptions, MipStatus};
 
 /// The Table 3 workhorse: graph 1, two adders + two multipliers + one
 /// subtracter, N=3, L=1, tightened model. Serial guided search proves
-/// cost 13 in 459 nodes.
+/// cost 13 in 271 nodes.
 fn g1_model() -> IlpModel {
     let inst = date98_instance(1, 2, 2, 1, date98_device()).expect("graph-1 instance");
     IlpModel::build(inst, ModelConfig::tightened(3, 1)).expect("g1 model builds")

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! tempart solve <spec.json> [--partitions N] [--latency L] [--time-limit SECS]
-//!               [--node-limit N] [--threads T] [--basis-update eta|ft-markowitz]
+//!               [--node-limit N] [--threads T]
 //!               [--cuts] [--propagate] [--branching rule|pseudocost]
 //!               [--scale K] [--faults PLAN] [--stats] [--certify] [--json]
 //! tempart estimate <spec.json>
@@ -41,12 +41,6 @@
 //! `--stats` enables the solver profiling layer and prints a per-phase
 //! simplex time/count breakdown after the solve.
 //!
-//! `--basis-update` selects the simplex basis kernel: `eta` (the pinned
-//! default) is the product-form eta file refactorized every 64 updates,
-//! `ft-markowitz` Forrest–Tomlin updates applied directly to the `U` factor
-//! over a Markowitz-ordered refactorization, refactorized on measured
-//! fill-in. Both prove the same optimum.
-//!
 //! `--scale K` replicates the specification's task graph `K` times,
 //! chaining each copy's sink tasks to the next copy's sources
 //! (deterministic — no randomness), before solving. This grows a small
@@ -80,7 +74,7 @@ use tempart_core::{
 };
 use tempart_graph::{scale_task_graph, task_graph_to_dot};
 use tempart_hls::{estimate_partitions, render_gantt, Mobility};
-use tempart_lp::{BasisUpdate, Branching, FaultPlan, MipOptions, MipStatus};
+use tempart_lp::{Branching, FaultPlan, MipOptions, MipStatus};
 use tempart_sim::execute;
 
 /// Graceful Ctrl-C (`solve`/`simulate` only): the first SIGINT trips the
@@ -152,7 +146,6 @@ struct Args {
     cuts: bool,
     propagate: bool,
     branching: Branching,
-    basis_update: BasisUpdate,
     scale: usize,
 }
 
@@ -175,7 +168,6 @@ fn parse_args() -> Result<Args, String> {
         cuts: false,
         propagate: false,
         branching: Branching::default(),
-        basis_update: BasisUpdate::default(),
         scale: 1,
     };
     while let Some(a) = it.next() {
@@ -229,13 +221,6 @@ fn parse_args() -> Result<Args, String> {
                     .as_deref()
                     .and_then(Branching::parse)
                     .ok_or("--branching takes rule or pseudocost")?
-            }
-            "--basis-update" => {
-                args.basis_update = it
-                    .next()
-                    .as_deref()
-                    .and_then(BasisUpdate::parse)
-                    .ok_or("--basis-update takes eta or ft-markowitz")?
             }
             "--scale" => {
                 args.scale = it
@@ -427,7 +412,6 @@ fn run() -> Result<(), String> {
                 ..MipOptions::default()
             };
             mip.lp.profile = args.stats;
-            mip.lp.basis_update = args.basis_update;
             if let Some(plan) = &args.faults {
                 mip.lp.faults = Some(std::sync::Arc::new(FaultPlan::parse(plan)?));
             }
@@ -651,7 +635,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("usage: tempart <solve|estimate|simulate|dot|example> [spec.json] [--partitions N] [--latency L] [--time-limit SECS] [--node-limit N] [--threads T] [--basis-update eta|ft-markowitz] [--cuts] [--propagate] [--branching rule|pseudocost] [--scale K] [--faults PLAN] [--stats] [--certify] [--json]");
+            eprintln!("usage: tempart <solve|estimate|simulate|dot|example> [spec.json] [--partitions N] [--latency L] [--time-limit SECS] [--node-limit N] [--threads T] [--cuts] [--propagate] [--branching rule|pseudocost] [--scale K] [--faults PLAN] [--stats] [--certify] [--json]");
             ExitCode::FAILURE
         }
     }

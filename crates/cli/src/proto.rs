@@ -595,8 +595,8 @@ mod tests {
                     objective: Some(13.0),
                     best_bound: Some(13.0),
                     cost: Some(13),
-                    nodes: 459,
-                    lp_iterations: 10_411,
+                    nodes: 269,
+                    lp_iterations: 8_285,
                     source: "exact".to_string(),
                     cache: "miss".to_string(),
                     requeued: false,

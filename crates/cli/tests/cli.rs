@@ -170,8 +170,8 @@ fn solve_scale_flags_prove_the_same_optimum() {
             "unexpected argument `--refactor`",
         ),
         (
-            &["--basis-update", "ft"][..],
-            "--basis-update takes eta or ft-markowitz",
+            &["--basis-update", "ft-markowitz"][..],
+            "unexpected argument `--basis-update`",
         ),
     ] {
         let out = tempart()

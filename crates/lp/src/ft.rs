@@ -1,10 +1,10 @@
 //! Forrest–Tomlin basis maintenance: LU factors updated in place.
 //!
-//! The legacy path in [`crate::simplex`] keeps the factorization frozen
-//! and appends product-form eta columns; every FTRAN/BTRAN then replays
-//! the whole eta file, and the only defence against fill-in is a fixed
-//! refactorization period. This module instead applies each basis change
-//! *to the `U` factor itself* (Forrest–Tomlin, 1972): the leaving
+//! A product-form eta file keeps the factorization frozen and appends one
+//! eta column per pivot, so every FTRAN/BTRAN replays the whole file and
+//! the only defence against fill-in is a fixed refactorization period.
+//! This module instead applies each basis change *to the `U` factor
+//! itself* (Forrest–Tomlin, 1972): the leaving
 //! column's row is eliminated into a small row-eta, the entering
 //! column's spike becomes the new last column of `U`, and the triangular
 //! solves keep their hypersparse pattern-tracked form. Fill-in lands
@@ -16,7 +16,7 @@
 //! A factorized basis is `B = L · R₁⁻¹ · … · R_k⁻¹ · U · Q` where
 //!
 //! * `L` (with its row permutation) is frozen at refactorization time and
-//!   stored exactly like [`crate::lu::LuFactors`] stores it;
+//!   stored column-wise as `(original_row, multiplier)` lists;
 //! * each `R_i` is a row-eta recorded by update `i` (the elimination of
 //!   the leaving row), applied to the right-hand side between the `L`
 //!   and `U` solves;
@@ -42,9 +42,8 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::lu::LuScratch;
 use crate::sparse::CscMatrix;
-use crate::tol::{ft_pivot_ok, is_nonzero};
+use crate::tol::{ft_pivot_ok, is_nonzero, is_zero};
 use crate::LpError;
 
 /// Rows with magnitude at least this fraction of the column maximum are
@@ -63,6 +62,53 @@ struct FtEta {
     entries: Vec<(usize, f64)>,
 }
 
+/// Reusable workspace for the hypersparse (pattern-tracked) triangular
+/// solves, owned by the caller so repeated solves allocate nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LuScratch {
+    min_heap: BinaryHeap<Reverse<usize>>,
+    max_heap: BinaryHeap<usize>,
+    queued: Vec<bool>,
+    z: Vec<f64>,
+    stage: Vec<usize>,
+    pops: Vec<usize>,
+}
+
+impl LuScratch {
+    /// Once the retained capacity exceeds this multiple of the current
+    /// problem dimension (and the dimension is non-trivial), the workspace
+    /// is compacted: a scratch that served a large instance must not pin
+    /// its memory for the lifetime of a solver now working on small ones.
+    const SHRINK_FACTOR: usize = 8;
+
+    /// Prepares the workspace for a solve of dimension `m`: grows the
+    /// dense arrays when `m` grew, compacts everything (including the heap
+    /// buffers, which `BinaryHeap` never shrinks on its own) when `m`
+    /// shrank far below the retained capacity, and asserts — in debug
+    /// builds — that the previous caller left the workspace clean. Every
+    /// hypersparse solve enters through here.
+    fn ensure(&mut self, m: usize) {
+        if self.queued.len() < m {
+            self.queued.resize(m, false);
+            self.z.resize(m, 0.0);
+        } else if self.queued.len() > Self::SHRINK_FACTOR * m.max(64) {
+            self.queued.truncate(m);
+            self.queued.shrink_to_fit();
+            self.z.truncate(m);
+            self.z.shrink_to_fit();
+            self.min_heap.shrink_to(m);
+            self.max_heap.shrink_to(m);
+            self.stage.truncate(0);
+            self.stage.shrink_to(m);
+            self.pops.truncate(0);
+            self.pops.shrink_to(m);
+        }
+        debug_assert!(self.min_heap.is_empty() && self.max_heap.is_empty());
+        debug_assert!(self.queued.iter().all(|&q| !q), "scratch left dirty");
+        debug_assert!(self.z.iter().all(|&v| is_zero(v)), "scratch left dirty");
+    }
+}
+
 /// LU factors of a basis matrix maintained under Forrest–Tomlin updates.
 #[derive(Debug, Clone)]
 pub(crate) struct FtFactors {
@@ -73,7 +119,9 @@ pub(crate) struct FtFactors {
     pivot_pos: Vec<usize>,
     /// Column `s` of `L` below the diagonal: `(original_row, multiplier)`.
     l_cols: Vec<Vec<(usize, f64)>>,
-    /// Reverse adjacency of `Lᵀ` (see [`crate::lu::LuFactors`]). Frozen.
+    /// Reverse adjacency of `Lᵀ`: slot `k` → slots `j < k` whose `L`
+    /// column touches the row pivoted at `k`. Drives hypersparse BTRAN.
+    /// Frozen.
     l_deps: Vec<Vec<usize>>,
     /// Live `U`, column-wise: `ucol[s]` holds `(t, U[t,s])` for the
     /// above-diagonal entries of column `s` (`pos[t] < pos[s]`).
@@ -148,8 +196,7 @@ impl FtFactors {
         let mut ucol: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
         let mut diag = Vec::with_capacity(m);
 
-        // Left-looking elimination identical in structure to
-        // `LuFactors::factorize`; only the pivot choice differs.
+        // Left-looking elimination, one basis column per step.
         let mut x = vec![0.0f64; m];
         let mut in_touched = vec![false; m];
         let mut touched: Vec<usize> = Vec::with_capacity(64);
@@ -368,8 +415,12 @@ impl FtFactors {
     }
 
     /// Hypersparse [`ftran`](Self::ftran): only slots reachable from the
-    /// nonzeros of `b` are visited. Same contract as
-    /// [`crate::lu::LuFactors::ftran_sparse`].
+    /// nonzeros of `b` are visited.
+    ///
+    /// On entry `buf` holds `b` and `pattern` its nonzero original rows (no
+    /// duplicates); positions outside `pattern` must be zero. On exit `buf`
+    /// holds `w` and `pattern` its nonzero basis positions (unsorted).
+    /// Work is proportional to the solution's fill-in, not to `m`.
     pub(crate) fn ftran_sparse(
         &self,
         buf: &mut [f64],
@@ -447,8 +498,11 @@ impl FtFactors {
         }
     }
 
-    /// Hypersparse [`btran`](Self::btran). Same contract as
-    /// [`crate::lu::LuFactors::btran_sparse`].
+    /// Hypersparse [`btran`](Self::btran).
+    ///
+    /// On entry `buf` holds `c` and `pattern` its nonzero basis positions (no
+    /// duplicates); positions outside `pattern` must be zero. On exit `buf`
+    /// holds `y` and `pattern` its nonzero original rows (unsorted).
     pub(crate) fn btran_sparse(
         &self,
         buf: &mut [f64],
@@ -705,7 +759,6 @@ impl FtFactors {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lu::LuFactors;
     use proptest::prelude::*;
 
     /// Dense reference solve via Gaussian elimination, partial pivoting.
@@ -750,6 +803,18 @@ mod tests {
     fn transpose(bd: &[Vec<f64>]) -> Vec<Vec<f64>> {
         let m = bd.len();
         (0..m).map(|r| (0..m).map(|c| bd[c][r]).collect()).collect()
+    }
+
+    fn inf_norm(v: &[f64]) -> f64 {
+        v.iter().fold(0.0f64, |acc, x| acc.max(x.abs()))
+    }
+
+    /// `‖M·x − b‖∞` for a dense square `M`.
+    fn residual(m: &[Vec<f64>], x: &[f64], b: &[f64]) -> f64 {
+        m.iter()
+            .zip(b)
+            .map(|(row, &bi)| (row.iter().zip(x).map(|(a, xi)| a * xi).sum::<f64>() - bi).abs())
+            .fold(0.0, f64::max)
     }
 
     /// Checks dense and sparse FTRAN/BTRAN of `ft` against dense solves
@@ -856,6 +921,55 @@ mod tests {
     }
 
     #[test]
+    fn general_basis_matches_dense() {
+        let a = CscMatrix::from_triplets(
+            3,
+            5,
+            vec![
+                (0, 0, 2.0),
+                (1, 0, 1.0),
+                (0, 1, 1.0),
+                (2, 1, 3.0),
+                (1, 2, 4.0),
+                (2, 2, 1.0),
+                (0, 3, 1.0),
+                (1, 4, 1.0),
+            ],
+        );
+        for basis in [[0usize, 1, 2], [3, 1, 2], [0, 4, 1]] {
+            let ft = FtFactors::factorize_markowitz(&a, &basis, 1e-10).unwrap();
+            check_all_solves(&ft, &a, &basis, 1e-8);
+        }
+    }
+
+    #[test]
+    fn pseudo_random_matrices_match_dense() {
+        // Deterministic pseudo-random dense-ish matrices of sizes 2..=8.
+        let mut seed = 0x9E3779B97F4A7C15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64 // in [0,1)
+        };
+        for m in 2..=8usize {
+            let mut trips = Vec::new();
+            for r in 0..m {
+                for c in 0..m {
+                    let v = next();
+                    if v > 0.4 || r == c {
+                        trips.push((r, c, v * 4.0 - 2.0 + if r == c { 3.0 } else { 0.0 }));
+                    }
+                }
+            }
+            let a = CscMatrix::from_triplets(m, m, trips);
+            let basis: Vec<usize> = (0..m).collect();
+            let ft = FtFactors::factorize_markowitz(&a, &basis, 1e-10).unwrap();
+            check_all_solves(&ft, &a, &basis, 1e-8);
+        }
+    }
+
+    #[test]
     fn markowitz_detects_singular() {
         let a = CscMatrix::from_triplets(2, 2, vec![(0, 0, 1.0), (0, 1, 1.0)]);
         assert_eq!(
@@ -925,6 +1039,30 @@ mod tests {
         check_all_solves(&ft, &a, &[0, 2], 1e-10);
     }
 
+    #[test]
+    fn scratch_reuses_and_compacts_across_dimensions() {
+        // A scratch that served a large solve must keep working — and give
+        // its memory back — when reused for much smaller systems.
+        let mut scratch = LuScratch::default();
+        scratch.ensure(10_000);
+        assert_eq!(scratch.queued.len(), 10_000);
+        let small = CscMatrix::from_triplets(2, 2, vec![(0, 0, 2.0), (1, 0, 1.0), (1, 1, 3.0)]);
+        let ft = FtFactors::factorize_markowitz(&small, &[0, 1], 1e-10).unwrap();
+        let mut buf = vec![4.0, 0.0];
+        let mut pattern = vec![0];
+        ft.ftran_sparse(&mut buf, &mut pattern, &mut scratch);
+        assert!(
+            scratch.queued.len() <= LuScratch::SHRINK_FACTOR * 64,
+            "oversized scratch was not compacted: {}",
+            scratch.queued.len()
+        );
+        // Still correct after the compaction, and clean for the next call.
+        assert!((buf[0] - 2.0).abs() < 1e-12 && (buf[1] + 2.0 / 3.0).abs() < 1e-12);
+        ft.btran_sparse(&mut buf, &mut pattern, &mut scratch);
+        assert!(scratch.queued.iter().all(|&q| !q));
+        assert!(scratch.z.iter().all(|&v| v == 0.0));
+    }
+
     #[derive(Debug, Clone)]
     struct UpdatePlan {
         m: usize,
@@ -952,9 +1090,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// After up to 200 Forrest–Tomlin updates, FTRAN/BTRAN (dense and
-        /// hypersparse) still match a dense `B⁻¹` solve, and a forced
-        /// refactorization of the final basis reproduces the same
-        /// solution.
+        /// hypersparse) still match a dense `B⁻¹` solve, and both the
+        /// updated factors and a forced refactorization of the final basis
+        /// leave small residuals.
         #[test]
         fn long_update_chains_match_dense_and_refactorization(plan in update_plan(200)) {
             let m = plan.m;
@@ -1008,23 +1146,21 @@ mod tests {
                     "ftran drifted at {} after {} updates: {} vs {}",
                     i, accepted, got[i], want[i]);
             }
-            // Forced refactorization (both pivot rules) reproduces the
-            // same solution from scratch.
-            for markowitz in [false, true] {
-                let mut refreshed = b.clone();
-                if markowitz {
-                    FtFactors::factorize_markowitz(&a, &basis, 1e-10)
-                        .unwrap()
-                        .ftran(&mut refreshed);
-                } else {
-                    LuFactors::factorize(&a, &basis, 1e-10)
-                        .unwrap()
-                        .ftran(&mut refreshed);
-                }
-                for i in 0..m {
-                    prop_assert!((refreshed[i] - got[i]).abs() < 1e-6 * got[i].abs().max(1.0),
-                        "refactorization disagrees at {} (markowitz={})", i, markowitz);
-                }
+            // The updated factors and a forced refactorization of the final
+            // basis both solve it: FTRAN and BTRAN residuals on the basis
+            // columns stay within the same relative tolerance.
+            let refreshed = FtFactors::factorize_markowitz(&a, &basis, 1e-10).unwrap();
+            for (label, f) in [("updated", &ft), ("refactorized", &refreshed)] {
+                let mut x = b.clone();
+                f.ftran(&mut x);
+                let r = residual(&bd, &x, &b);
+                prop_assert!(r < 1e-6 * inf_norm(&x).max(1.0),
+                    "{} ftran residual {} after {} updates", label, r, accepted);
+                let mut y = b.clone();
+                f.btran(&mut y);
+                let r = residual(&transpose(&bd), &y, &b);
+                prop_assert!(r < 1e-6 * inf_norm(&y).max(1.0),
+                    "{} btran residual {} after {} updates", label, r, accepted);
             }
             check_all_solves(&ft, &a, &basis, 1e-5);
         }

@@ -13,7 +13,7 @@
 //!   linear constraints, minimization objective.
 //! * Bounded-variable **revised primal simplex** with devex pricing,
 //!   incrementally updated reduced costs, hypersparse FTRAN/BTRAN over a
-//!   sparse LU factorization of the basis with product-form (eta) or
+//!   Markowitz-ordered sparse LU factorization of the basis with
 //!   Forrest–Tomlin updates, and an artificial-variable phase 1.
 //! * **Dual simplex** with the bound-flipping ratio test for warm-started
 //!   re-solves after bound changes — the workhorse of branch-and-bound node
@@ -49,7 +49,6 @@ mod cuts;
 mod faults;
 mod ft;
 mod internal;
-mod lu;
 mod mps;
 mod options;
 mod parallel;
@@ -77,7 +76,7 @@ pub use cuts::{
 };
 pub use faults::{Budget, BudgetExceeded, FaultPlan, FaultSite};
 pub use mps::write_mps;
-pub use options::{BasisUpdate, Branching, LpOptions, MipOptions};
+pub use options::{Branching, LpOptions, MipOptions};
 pub use problem::{LpError, Problem, RowId, RowView, Sense, VarId, VarKind};
 pub use profile::{ContentionProfile, ScaleProfile, SimplexProfile};
 pub use progress::Progress;

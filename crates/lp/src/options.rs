@@ -5,54 +5,6 @@ use std::sync::Arc;
 use crate::faults::{Budget, FaultPlan};
 use crate::progress::Progress;
 
-/// Basis kernel: how the basis is maintained between refactorizations,
-/// and when it is refactorized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BasisUpdate {
-    /// Product-form eta file: every pivot appends an eta matrix that FTRAN/
-    /// BTRAN apply on top of the last LU factorization, refactorized after
-    /// exactly [`LpOptions::refactor_every`] updates. Its arithmetic is part
-    /// of the pinned golden pivot sequence, so it is the default.
-    #[default]
-    Eta,
-    /// Forrest–Tomlin updates applied directly to the `U` factor over a
-    /// Markowitz-ordered refactorization: each pivot replaces a `U` column
-    /// with the spike and eliminates the spiked row into a short row eta,
-    /// so solve cost tracks the (slowly growing) `U` fill instead of the
-    /// eta-file length, and the Markowitz pivots (chosen by fill-in ×
-    /// stability) keep that fill small. It refactorizes dynamically: when
-    /// the stored nonzeros pass twice the factored ones, when an update
-    /// fails the stability test, or at a hard cap of four times
-    /// [`LpOptions::refactor_every`] updates. Same optima, different float
-    /// rounding, hence opt-in.
-    FtMarkowitz,
-}
-
-impl BasisUpdate {
-    /// Stable lower-case name (CLI flag values, JSON reports).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            BasisUpdate::Eta => "eta",
-            BasisUpdate::FtMarkowitz => "ft-markowitz",
-        }
-    }
-
-    /// Parses a CLI-style name.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "eta" => Some(BasisUpdate::Eta),
-            "ft-markowitz" => Some(BasisUpdate::FtMarkowitz),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for BasisUpdate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// Branching-variable selection strategy for branch and bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Branching {
@@ -106,12 +58,11 @@ pub struct LpOptions {
     pub pivot_tol: f64,
     /// Hard iteration cap across both phases.
     pub max_iterations: usize,
-    /// Refactorize the eta file after this many updates (the Forrest–Tomlin
-    /// kernel uses it only as a scale for its hard cap).
+    /// Scale of the update-count backstop of the refactorization schedule:
+    /// the Forrest–Tomlin factors are rebuilt after at most four times this
+    /// many updates, even when fill-in and stability would let them run on.
+    /// The cold retry ladder lowers it per rung.
     pub refactor_every: usize,
-    /// Basis kernel and its refactorization schedule (see [`BasisUpdate`]).
-    /// The default eta file is the pinned one.
-    pub basis_update: BasisUpdate,
     /// Wall-clock limit in seconds for one solve (`f64::INFINITY` to
     /// disable); exceeding it raises [`LpError::Timeout`](crate::LpError).
     pub time_limit_secs: f64,
@@ -143,7 +94,6 @@ impl Default for LpOptions {
             pivot_tol: 1e-8,
             max_iterations: 200_000,
             refactor_every: 64,
-            basis_update: BasisUpdate::Eta,
             time_limit_secs: f64::INFINITY,
             dual_iteration_cap: 2_000,
             profile: false,
@@ -236,11 +186,6 @@ mod tests {
         let lp = LpOptions::default();
         assert!(lp.feas_tol > 0.0 && lp.feas_tol < 1e-4);
         assert!(lp.refactor_every >= 8);
-        assert_eq!(
-            lp.basis_update,
-            BasisUpdate::Eta,
-            "eta file by default — the pins depend on it"
-        );
         assert!(!lp.profile, "timers are opt-in");
         let mip = MipOptions::default();
         assert!(mip.int_tol >= lp.feas_tol);
@@ -257,17 +202,6 @@ mod tests {
             lp.faults.is_none() && lp.budget.is_none() && mip.progress.is_none(),
             "inert by default"
         );
-    }
-
-    #[test]
-    fn basis_update_names_roundtrip() {
-        for b in [BasisUpdate::Eta, BasisUpdate::FtMarkowitz] {
-            assert_eq!(BasisUpdate::parse(b.as_str()), Some(b));
-            assert_eq!(BasisUpdate::parse(&b.as_str().to_uppercase()), Some(b));
-            assert_eq!(format!("{b}"), b.as_str());
-        }
-        assert_eq!(BasisUpdate::parse("bartels-golub"), None);
-        assert_eq!(BasisUpdate::parse("ft"), None);
     }
 
     #[test]

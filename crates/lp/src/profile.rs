@@ -42,16 +42,16 @@ pub struct SimplexProfile {
     pub lp_secs: f64,
     /// Entering/leaving selection and reduced-cost maintenance.
     pub pricing_secs: f64,
-    /// Forward solves `B w = a_q` (LU + eta file).
+    /// Forward solves `B w = a_q` (`L`, row etas, `U`).
     pub ftran_secs: f64,
-    /// Backward solves `Bᵀ y = c` (eta file + LU).
+    /// Backward solves `Bᵀ y = c` (`Uᵀ`, row etas, `Lᵀ`).
     pub btran_secs: f64,
     /// Primal and dual ratio tests (incl. bound-flip breakpoint walks).
     pub ratio_secs: f64,
     /// Basis factorization time: periodic refactorizations *and* the
     /// initial factorization of every solve.
     pub refactor_secs: f64,
-    /// Basis-update recording (eta push or Forrest–Tomlin U update).
+    /// Forrest–Tomlin basis updates of the `U` factor.
     pub update_secs: f64,
     /// Everything else inside a solve that is measured but fits no kernel
     /// bucket: crash-basis setup, `x_B` recomputes, phase-1 objective

@@ -1,13 +1,10 @@
 //! Bounded-variable revised simplex: primal (two-phase, artificial cold
 //! start) and dual (warm restarts after bound changes in branch-and-bound).
 //!
-//! The basis is maintained behind [`BasisRepr`]: either a sparse LU
-//! factorization ([`crate::lu::LuFactors`]) plus a product-form eta file
-//! (the pinned default), or Forrest–Tomlin-updated factors
-//! ([`crate::ft::FtFactors`], [`BasisUpdate::FtMarkowitz`]).
-//! Each kernel carries its own refactorization schedule: the eta file is
-//! rebuilt every [`LpOptions::refactor_every`] pivots, Forrest–Tomlin
-//! factors when measured fill-in growth crosses a threshold.
+//! The basis is kept as Forrest–Tomlin-updated LU factors over a
+//! Markowitz-ordered refactorization ([`crate::ft::FtFactors`]). They are
+//! rebuilt when the stored fill doubles, when an update fails the
+//! stability test, or after `4 ×` [`LpOptions::refactor_every`] updates.
 //!
 //! One engine runs both directions: the primal keeps its reduced costs
 //! incrementally and prices by devex, the dual uses the bound-flipping
@@ -20,10 +17,9 @@
 
 use std::time::Instant;
 
-use crate::ft::FtFactors;
+use crate::ft::{FtFactors, LuScratch};
 use crate::internal::CoreLp;
-use crate::lu::{LuFactors, LuScratch};
-use crate::options::{BasisUpdate, LpOptions};
+use crate::options::LpOptions;
 use crate::problem::{LpError, Problem};
 use crate::profile::{lap, tick, tock, SimplexProfile};
 use crate::status::LpStatus;
@@ -70,56 +66,6 @@ pub(crate) enum WarmFail {
     NotDualFeasible,
     /// A hard error (iteration limit, singular basis).
     Error(LpError),
-}
-
-struct Eta {
-    /// Basis position of the pivot.
-    r: usize,
-    /// Nonzero entries of the FTRAN column `w`, excluding position `r`.
-    entries: Vec<(usize, f64)>,
-    /// Pivot element `w[r]`.
-    wr: f64,
-}
-
-/// The maintained representation of the basis inverse, selected by
-/// [`LpOptions::basis_update`].
-///
-/// The `Eta` variant is the product-form scheme of the default kernel,
-/// whose pivot sequence the golden tests pin. The `Ft` variant applies
-/// Forrest–Tomlin updates directly to the U factor instead of appending
-/// etas, which keeps FTRAN/BTRAN cost flat as pivots accumulate.
-// One instance lives per solve (never in a collection), so the size gap
-// between variants costs nothing; boxing would tax every FTRAN/BTRAN.
-#[allow(clippy::large_enum_variant)]
-enum BasisRepr {
-    Eta { lu: LuFactors, etas: Vec<Eta> },
-    Ft(FtFactors),
-}
-
-impl BasisRepr {
-    /// Basis changes recorded since the last (re)factorization.
-    fn updates_len(&self) -> usize {
-        match self {
-            BasisRepr::Eta { etas, .. } => etas.len(),
-            BasisRepr::Ft(ft) => ft.updates_len(),
-        }
-    }
-}
-
-/// Builds the configured basis representation from a factorization of the
-/// basis columns.
-fn build_basis(core: &CoreLp, basic: &[usize], opts: &LpOptions) -> Result<BasisRepr, LpError> {
-    Ok(match opts.basis_update {
-        BasisUpdate::Eta => BasisRepr::Eta {
-            lu: LuFactors::factorize(&core.a, basic, opts.pivot_tol)?,
-            etas: Vec::new(),
-        },
-        BasisUpdate::FtMarkowitz => BasisRepr::Ft(FtFactors::factorize_markowitz(
-            &core.a,
-            basic,
-            opts.pivot_tol,
-        )?),
-    })
 }
 
 /// Dynamic refactorization: rebuild once the factors hold this many times
@@ -190,7 +136,7 @@ struct Simplex<'a> {
     upper: Vec<f64>,
     stat: Vec<VStat>,
     basic: Vec<usize>,
-    basis: BasisRepr,
+    basis: FtFactors,
     /// Values of basic variables, indexed by basis position.
     xb: Vec<f64>,
     iterations: usize,
@@ -201,9 +147,9 @@ struct Simplex<'a> {
     profile: SimplexProfile,
     /// Section timers enabled ([`LpOptions::profile`]).
     timers: bool,
-    /// Bland's smallest-index rule on the incremental engine, whatever
-    /// [`LpOptions::pricing`] says. Only the cycling-proof rungs of the
-    /// cold retry ladder ([`solve_core_cold`]) set it.
+    /// Bland's smallest-index rule instead of devex pricing. Only the
+    /// cycling-proof rungs of the cold retry ladder ([`solve_core_cold`])
+    /// set it.
     bland: bool,
 }
 
@@ -242,185 +188,41 @@ impl<'a> Simplex<'a> {
         }
     }
 
-    /// `B w = b`: LU solve then the eta file. Associated functions (not
-    /// methods) so call sites can borrow `self.scratch` buffers disjointly.
-    fn apply_ftran(lu: &LuFactors, etas: &[Eta], buf: &mut [f64]) {
-        lu.ftran(buf);
-        for eta in etas {
-            let xr = buf[eta.r] / eta.wr;
-            buf[eta.r] = xr;
-            if is_nonzero(xr) {
-                for &(i, wi) in &eta.entries {
-                    buf[i] -= wi * xr;
-                }
-            }
-        }
-    }
-
-    /// `Bᵀ y = c`: eta file in reverse, then the LU solve.
-    fn apply_btran(lu: &LuFactors, etas: &[Eta], buf: &mut [f64]) {
-        for eta in etas.iter().rev() {
-            let mut s = buf[eta.r];
-            for &(i, wi) in &eta.entries {
-                s -= wi * buf[i];
-            }
-            buf[eta.r] = s / eta.wr;
-        }
-        lu.btran(buf);
-    }
-
-    /// `B w = b` against the maintained basis representation.
-    fn basis_ftran(basis: &BasisRepr, buf: &mut [f64]) {
-        match basis {
-            BasisRepr::Eta { lu, etas } => Self::apply_ftran(lu, etas, buf),
-            BasisRepr::Ft(ft) => ft.ftran(buf),
-        }
-    }
-
-    /// `Bᵀ y = c` against the maintained basis representation.
-    fn basis_btran(basis: &BasisRepr, buf: &mut [f64]) {
-        match basis {
-            BasisRepr::Eta { lu, etas } => Self::apply_btran(lu, etas, buf),
-            BasisRepr::Ft(ft) => ft.btran(buf),
-        }
-    }
-
     /// Hypersparse FTRAN: `pattern` holds the nonzeros of `buf` on entry and
     /// a superset of the nonzeros (no duplicates) on exit. Falls back to the
-    /// dense kernel when the rhs is already dense-ish. `mask` must be all
-    /// false and is returned all false.
-    fn apply_ftran_sparse(
-        lu: &LuFactors,
-        etas: &[Eta],
+    /// dense solve when the rhs is already dense-ish. Associated functions
+    /// (not methods) so call sites can borrow `self.scratch` buffers
+    /// disjointly.
+    fn ftran_sparse(
+        basis: &FtFactors,
         buf: &mut [f64],
         pattern: &mut Vec<usize>,
-        mask: &mut [bool],
         lsc: &mut LuScratch,
     ) {
         let m = buf.len();
         if pattern.len() * 4 > m {
-            Self::apply_ftran(lu, etas, buf);
+            basis.ftran(buf);
             pattern.clear();
             pattern.extend((0..m).filter(|&i| is_nonzero(buf[i])));
-            return;
-        }
-        lu.ftran_sparse(buf, pattern, lsc);
-        if !etas.is_empty() {
-            for &p in pattern.iter() {
-                mask[p] = true;
-            }
-            for eta in etas {
-                let xr = buf[eta.r] / eta.wr;
-                buf[eta.r] = xr;
-                if is_nonzero(xr) {
-                    if !mask[eta.r] {
-                        mask[eta.r] = true;
-                        pattern.push(eta.r);
-                    }
-                    for &(i, wi) in &eta.entries {
-                        buf[i] -= wi * xr;
-                        if !mask[i] {
-                            mask[i] = true;
-                            pattern.push(i);
-                        }
-                    }
-                }
-            }
-            for &p in pattern.iter() {
-                mask[p] = false;
-            }
+        } else {
+            basis.ftran_sparse(buf, pattern, lsc);
         }
     }
 
-    /// Hypersparse BTRAN, mirror of [`apply_ftran_sparse`](Self::apply_ftran_sparse).
-    fn apply_btran_sparse(
-        lu: &LuFactors,
-        etas: &[Eta],
+    /// Hypersparse BTRAN, mirror of [`ftran_sparse`](Self::ftran_sparse).
+    fn btran_sparse(
+        basis: &FtFactors,
         buf: &mut [f64],
         pattern: &mut Vec<usize>,
-        mask: &mut [bool],
         lsc: &mut LuScratch,
     ) {
         let m = buf.len();
         if pattern.len() * 4 > m {
-            Self::apply_btran(lu, etas, buf);
+            basis.btran(buf);
             pattern.clear();
             pattern.extend((0..m).filter(|&i| is_nonzero(buf[i])));
-            return;
-        }
-        if !etas.is_empty() {
-            for &p in pattern.iter() {
-                mask[p] = true;
-            }
-            for eta in etas.iter().rev() {
-                let mut s = buf[eta.r];
-                for &(i, wi) in &eta.entries {
-                    s -= wi * buf[i];
-                }
-                s /= eta.wr;
-                buf[eta.r] = s;
-                if is_nonzero(s) && !mask[eta.r] {
-                    mask[eta.r] = true;
-                    pattern.push(eta.r);
-                }
-            }
-            for &p in pattern.iter() {
-                mask[p] = false;
-            }
-        }
-        lu.btran_sparse(buf, pattern, lsc);
-    }
-
-    /// Hypersparse FTRAN dispatch: the eta pairing of
-    /// [`apply_ftran_sparse`](Self::apply_ftran_sparse), or the FT kernel
-    /// with the same dense-ish fallback heuristic.
-    fn basis_ftran_sparse(
-        basis: &BasisRepr,
-        buf: &mut [f64],
-        pattern: &mut Vec<usize>,
-        mask: &mut [bool],
-        lsc: &mut LuScratch,
-    ) {
-        match basis {
-            BasisRepr::Eta { lu, etas } => {
-                Self::apply_ftran_sparse(lu, etas, buf, pattern, mask, lsc);
-            }
-            BasisRepr::Ft(ft) => {
-                let m = buf.len();
-                if pattern.len() * 4 > m {
-                    ft.ftran(buf);
-                    pattern.clear();
-                    pattern.extend((0..m).filter(|&i| is_nonzero(buf[i])));
-                } else {
-                    ft.ftran_sparse(buf, pattern, lsc);
-                }
-            }
-        }
-    }
-
-    /// Hypersparse BTRAN dispatch, mirror of
-    /// [`basis_ftran_sparse`](Self::basis_ftran_sparse).
-    fn basis_btran_sparse(
-        basis: &BasisRepr,
-        buf: &mut [f64],
-        pattern: &mut Vec<usize>,
-        mask: &mut [bool],
-        lsc: &mut LuScratch,
-    ) {
-        match basis {
-            BasisRepr::Eta { lu, etas } => {
-                Self::apply_btran_sparse(lu, etas, buf, pattern, mask, lsc);
-            }
-            BasisRepr::Ft(ft) => {
-                let m = buf.len();
-                if pattern.len() * 4 > m {
-                    ft.btran(buf);
-                    pattern.clear();
-                    pattern.extend((0..m).filter(|&i| is_nonzero(buf[i])));
-                } else {
-                    ft.btran_sparse(buf, pattern, lsc);
-                }
-            }
+        } else {
+            basis.btran_sparse(buf, pattern, lsc);
         }
     }
 
@@ -437,7 +239,7 @@ impl<'a> Simplex<'a> {
             }
         }
         debug_assert_eq!(self.scratch.rhs.len(), m);
-        Self::basis_ftran(&self.basis, &mut self.scratch.rhs);
+        self.basis.ftran(&mut self.scratch.rhs);
         self.xb.copy_from_slice(&self.scratch.rhs);
         self.scratch.rhs.fill(0.0);
     }
@@ -445,32 +247,22 @@ impl<'a> Simplex<'a> {
     fn refactor(&mut self) -> Result<(), LpError> {
         let t = tick(self.timers);
         inject_singular(self.opts)?;
-        self.basis = build_basis(self.core, &self.basic, self.opts)?;
+        self.basis =
+            FtFactors::factorize_markowitz(&self.core.a, &self.basic, self.opts.pivot_tol)?;
         self.recompute_xb();
         self.profile.refactors += 1;
         tock(t, &mut self.profile.refactor_secs);
         Ok(())
     }
 
-    /// Whether the basis representation is due for a rebuild. The schedule
-    /// belongs to the kernel.
-    ///
-    /// The eta file rebuilds after exactly [`LpOptions::refactor_every`]
-    /// recorded updates, since every eta lengthens each FTRAN/BTRAN.
-    /// Forrest–Tomlin factors rebuild on measured fill-in growth
-    /// ([`DYNAMIC_FILL_LIMIT`]) with an update-count backstop
-    /// ([`DYNAMIC_UPDATE_CAP`]); the stability half of that trigger is the
+    /// Whether the factors are due for a rebuild: on measured fill-in growth
+    /// ([`DYNAMIC_FILL_LIMIT`]) or at the update-count backstop
+    /// ([`DYNAMIC_UPDATE_CAP`]). The stability half of the schedule is the
     /// Forrest–Tomlin pivot test itself, whose rejection refactorizes
     /// immediately in [`update_basis`](Self::update_basis).
     fn should_refactor(&self) -> bool {
-        let every = self.opts.refactor_every;
-        match &self.basis {
-            BasisRepr::Eta { etas, .. } => etas.len() >= every,
-            BasisRepr::Ft(ft) => {
-                ft.fill_ratio() > DYNAMIC_FILL_LIMIT
-                    || ft.updates_len() >= DYNAMIC_UPDATE_CAP * every
-            }
-        }
+        self.basis.fill_ratio() > DYNAMIC_FILL_LIMIT
+            || self.basis.updates_len() >= DYNAMIC_UPDATE_CAP * self.opts.refactor_every
     }
 
     /// Reduced costs `d_j = c_j − y·a_j` for all columns (basic ones ≈ 0),
@@ -483,7 +275,7 @@ impl<'a> Simplex<'a> {
         for (pos, &col) in self.basic.iter().enumerate() {
             self.scratch.y[pos] = costs[col];
         }
-        Self::basis_btran(&self.basis, &mut self.scratch.y);
+        self.basis.btran(&mut self.scratch.y);
         tock(t, &mut self.profile.btran_secs);
         let t = tick(self.timers);
         for j in 0..self.core.n {
@@ -513,41 +305,18 @@ impl<'a> Simplex<'a> {
     }
 
     /// Records the pivot at basis position `r` (FTRAN column `w` with its
-    /// sorted nonzero pattern `wpat`) in the basis representation: the eta
-    /// path appends a product-form eta, the FT path updates the U factor in
-    /// place. A Forrest–Tomlin update rejected as numerically unsafe
-    /// refactorizes immediately — `basic[r]`/`stat`/`xb` must already
-    /// describe the post-pivot basis when this is called.
+    /// sorted nonzero pattern `wpat`) as a Forrest–Tomlin update of the
+    /// factors. An update rejected as numerically unsafe refactorizes
+    /// immediately — `basic[r]`/`stat`/`xb` must already describe the
+    /// post-pivot basis when this is called.
     fn update_basis(&mut self, r: usize, w: &[f64], wpat: &[usize]) -> Result<(), LpError> {
         let t = tick(self.timers);
-        let ptol = self.opts.pivot_tol;
-        let rejected = match &mut self.basis {
-            BasisRepr::Eta { etas, .. } => {
-                etas.push(Self::make_eta(r, w, wpat, ptol));
-                false
-            }
-            BasisRepr::Ft(ft) => !ft.update(r, w, Some(wpat), ptol),
-        };
+        let accepted = self.basis.update(r, w, Some(wpat), self.opts.pivot_tol);
         tock(t, &mut self.profile.update_secs);
-        if rejected {
+        if !accepted {
             self.refactor()?;
         }
         Ok(())
-    }
-
-    /// The eta of a pivot on the sparse column `w`: `pat` must be a
-    /// duplicate-free superset of the nonzeros of `w`, sorted ascending (eta
-    /// entry order is part of the arithmetic in [`apply_btran`](Self::apply_btran)).
-    fn make_eta(r: usize, w: &[f64], pat: &[usize], ptol: f64) -> Eta {
-        let wr = w[r];
-        debug_assert!(wr.abs() > ptol / 10.0, "tiny pivot in eta");
-        debug_assert!(pat.windows(2).all(|p| p[0] < p[1]), "pattern not sorted");
-        let entries: Vec<(usize, f64)> = pat
-            .iter()
-            .filter(|&&i| i != r && is_nonzero(w[i]))
-            .map(|&i| (i, w[i]))
-            .collect();
-        Eta { r, entries, wr }
     }
 
     /// Devex (max `d_j²/w_j`) or Bland (smallest index) pricing over
@@ -665,15 +434,9 @@ impl<'a> Simplex<'a> {
                 w[r] = v;
                 wpat.push(r);
             }
-            Self::basis_ftran_sparse(
-                &self.basis,
-                &mut w,
-                &mut wpat,
-                &mut self.scratch.mask,
-                &mut self.scratch.lu,
-            );
+            Self::ftran_sparse(&self.basis, &mut w, &mut wpat, &mut self.scratch.lu);
             // Ascending pattern: the ratio test tie-breaking then matches a
-            // dense scan, and eta entries stay ordered.
+            // dense scan.
             wpat.sort_unstable();
             lap(&mut mark, &mut self.profile.ftran_secs);
             // Ratio test over the column's nonzeros.
@@ -754,11 +517,10 @@ impl<'a> Simplex<'a> {
                     self.scratch.rho[r] = 1.0;
                     self.scratch.rpat.clear();
                     self.scratch.rpat.push(r);
-                    Self::basis_btran_sparse(
+                    Self::btran_sparse(
                         &self.basis,
                         &mut self.scratch.rho,
                         &mut self.scratch.rpat,
-                        &mut self.scratch.mask,
                         &mut self.scratch.lu,
                     );
                     self.form_pivot_row();
@@ -920,11 +682,10 @@ impl<'a> Simplex<'a> {
             self.scratch.rho[r] = 1.0;
             self.scratch.rpat.clear();
             self.scratch.rpat.push(r);
-            Self::basis_btran_sparse(
+            Self::btran_sparse(
                 &self.basis,
                 &mut self.scratch.rho,
                 &mut self.scratch.rpat,
-                &mut self.scratch.mask,
                 &mut self.scratch.lu,
             );
             self.form_pivot_row();
@@ -1043,13 +804,7 @@ impl<'a> Simplex<'a> {
                 w[row] = v;
                 wpat.push(row);
             }
-            Self::basis_ftran_sparse(
-                &self.basis,
-                &mut w,
-                &mut wpat,
-                &mut self.scratch.mask,
-                &mut self.scratch.lu,
-            );
+            Self::ftran_sparse(&self.basis, &mut w, &mut wpat, &mut self.scratch.lu);
             wpat.sort_unstable();
             lap(&mut mark, &mut self.profile.ftran_secs);
             let wr = w[r];
@@ -1096,11 +851,10 @@ impl<'a> Simplex<'a> {
                         s.mask[row] = false;
                     }
                 }
-                Self::basis_ftran_sparse(
+                Self::ftran_sparse(
                     &self.basis,
                     &mut self.scratch.rhs,
                     &mut self.scratch.rhs_pat,
-                    &mut self.scratch.mask,
                     &mut self.scratch.lu,
                 );
                 {
@@ -1213,7 +967,7 @@ impl<'a> Simplex<'a> {
         for (pos, &col) in self.basic.iter().enumerate() {
             self.scratch.y[pos] = costs[col];
         }
-        Self::basis_btran(&self.basis, &mut self.scratch.y);
+        self.basis.btran(&mut self.scratch.y);
         let y = self.scratch.y.clone();
         tock(t, &mut self.profile.btran_secs);
         y
@@ -1295,7 +1049,7 @@ fn perturbed_bounds(lower: &[f64], upper: &[f64]) -> (Vec<f64>, Vec<f64>) {
 }
 
 /// Cold two-phase primal solve with a numerical retry ladder. A recoverable
-/// failure — a singular basis (eta-chain drift making a refactorization
+/// failure — a singular basis (update drift making a refactorization
 /// fail) or a stalled solve hitting the iteration limit — is retried: first
 /// with more frequent refactorization and a tighter pivot tolerance, then
 /// with cycling-proof Bland pricing, and finally with a tiny deterministic
@@ -1459,7 +1213,7 @@ fn solve_core_cold_once(
     tock(tsetup, &mut setup_secs);
     inject_singular(opts)?;
     let tfac = tick(opts.profile);
-    let basis = build_basis(core, &basic, opts)?;
+    let basis = FtFactors::factorize_markowitz(&core.a, &basic, opts.pivot_tol)?;
     let mut initial_factorize_secs = 0.0;
     tock(tfac, &mut initial_factorize_secs);
     let mut scratch = Scratch::default();
@@ -1587,7 +1341,8 @@ pub(crate) fn solve_core_warm(
     inject_itercap(opts).map_err(WarmFail::Error)?;
     inject_singular(opts).map_err(WarmFail::Error)?;
     let tfac = tick(opts.profile);
-    let basis = build_basis(core, &snapshot.basic, opts).map_err(WarmFail::Error)?;
+    let basis = FtFactors::factorize_markowitz(&core.a, &snapshot.basic, opts.pivot_tol)
+        .map_err(WarmFail::Error)?;
     let mut initial_factorize_secs = 0.0;
     tock(tfac, &mut initial_factorize_secs);
     let mut scratch = Scratch::default();

@@ -1,11 +1,13 @@
-//! Basis-kernel integration tests: the Forrest–Tomlin kernel must agree
-//! with the default eta file through the public API, and the per-phase
-//! profile timers must account for the solve wall clock.
+//! Basis-kernel integration tests: the Forrest–Tomlin kernel under a
+//! refactorization backstop short enough to rebuild every few pivots must
+//! still prove the default LP optimum and the brute-force 0-1 optimum
+//! through the public API, and the per-phase profile timers must account
+//! for the solve wall clock.
 
 use proptest::prelude::*;
 use tempart_lp::{
-    solve_lp, BasisUpdate, BranchAndBound, LpOptions, LpStatus, MipOptions, MipStatus, Problem,
-    Sense, SimplexProfile, VarKind,
+    solve_lp, BranchAndBound, LpOptions, LpStatus, MipOptions, MipStatus, Problem, Sense,
+    SimplexProfile, VarKind,
 };
 
 /// Exhaustive 0-1 reference optimum.
@@ -70,58 +72,54 @@ fn build(mip: &RandomMip) -> Problem {
     p
 }
 
-/// The basis kernels that must agree with the eta-file default.
 /// `refactor_every = 2` forces frequent refactorizations (and FT update
 /// chains spanning them) even on tiny instances.
-const KERNELS: [BasisUpdate; 1] = [BasisUpdate::FtMarkowitz];
+fn stressed() -> LpOptions {
+    LpOptions {
+        refactor_every: 2,
+        ..LpOptions::default()
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every basis kernel proves the same LP relaxation as the eta file.
+    /// The stressed schedule proves the same LP relaxation as the default.
     #[test]
-    fn basis_kernels_agree_on_lp_objective(mip in random_mip()) {
+    fn stressed_refactorization_agrees_on_lp_objective(mip in random_mip()) {
         let p = build(&mip);
-        let base = solve_lp(&p, &LpOptions::default()).expect("eta lp");
-        for basis_update in KERNELS {
-            let opts = LpOptions {
-                basis_update,
-                refactor_every: 2,
-                ..LpOptions::default()
-            };
-            let out = solve_lp(&p, &opts).expect("ft lp");
-            prop_assert_eq!(out.status, base.status, "{}", basis_update);
-            if base.status == LpStatus::Optimal {
-                prop_assert!((out.objective - base.objective).abs() < 1e-6,
-                    "{}: got {} want {}", basis_update, out.objective, base.objective);
-                prop_assert!(p.first_violated(&out.x, 1e-5).is_none());
-            }
+        let base = solve_lp(&p, &LpOptions::default()).expect("default lp");
+        let out = solve_lp(&p, &stressed()).expect("stressed lp");
+        prop_assert_eq!(out.status, base.status);
+        if base.status == LpStatus::Optimal {
+            prop_assert!((out.objective - base.objective).abs() < 1e-6,
+                "got {} want {}", out.objective, base.objective);
+            prop_assert!(p.first_violated(&out.x, 1e-5).is_none());
         }
     }
 
-    /// Full branch-and-bound (cold primal + warm dual restarts) proves the
-    /// brute-force 0-1 optimum under every basis kernel.
+    /// Full branch-and-bound (cold primal + warm dual restarts) under the
+    /// stressed schedule proves the brute-force 0-1 optimum.
     #[test]
-    fn basis_kernels_agree_on_mip_objective(mip in random_mip()) {
+    fn stressed_refactorization_agrees_on_mip_objective(mip in random_mip()) {
         let p = build(&mip);
         let reference = brute_force(&p);
-        for basis_update in KERNELS {
-            let mut opts = MipOptions::default();
-            opts.lp.basis_update = basis_update;
-            opts.lp.refactor_every = 2;
-            let out = BranchAndBound::new(&p)
-                .options(opts)
-                .solve()
-                .expect("solver must not error");
-            match reference {
-                Some(bobj) => {
-                    prop_assert_eq!(out.status, MipStatus::Optimal, "{}", basis_update);
-                    prop_assert!((out.objective - bobj).abs() < 1e-5,
-                        "{}: got {} want {}", basis_update, out.objective, bobj);
-                    prop_assert!(p.first_violated(&out.x, 1e-5).is_none());
-                }
-                None => prop_assert_eq!(out.status, MipStatus::Infeasible, "{}", basis_update),
+        let opts = MipOptions {
+            lp: stressed(),
+            ..MipOptions::default()
+        };
+        let out = BranchAndBound::new(&p)
+            .options(opts)
+            .solve()
+            .expect("solver must not error");
+        match reference {
+            Some(bobj) => {
+                prop_assert_eq!(out.status, MipStatus::Optimal);
+                prop_assert!((out.objective - bobj).abs() < 1e-5,
+                    "got {} want {}", out.objective, bobj);
+                prop_assert!(p.first_violated(&out.x, 1e-5).is_none());
             }
+            None => prop_assert_eq!(out.status, MipStatus::Infeasible),
         }
     }
 }
@@ -177,34 +175,31 @@ fn timing_problem(rows: usize, cols: usize) -> Problem {
 #[test]
 fn profile_sections_account_for_lp_time() {
     let p = timing_problem(24, 24);
-    for basis_update in [BasisUpdate::Eta, BasisUpdate::FtMarkowitz] {
-        let opts = LpOptions {
-            profile: true,
-            basis_update,
-            ..LpOptions::default()
-        };
-        let mut total = SimplexProfile::default();
-        // Accumulate enough wall clock that timer granularity is noise.
-        while total.lp_secs < 0.25 {
-            let out = solve_lp(&p, &opts).expect("lp solve");
-            assert_eq!(out.status, LpStatus::Optimal);
-            total.absorb(&out.profile);
-        }
-        let coverage = total.timed_secs() / total.lp_secs;
-        assert!(
-            (0.95..=1.01).contains(&coverage),
-            "{basis_update}: section timers cover {:.1}% of lp time \
-             (pricing {:.1} ftran {:.1} btran {:.1} ratio {:.1} refactor {:.1} \
-             update {:.1} other {:.1} vs lp {:.1} ms)",
-            coverage * 100.0,
-            total.pricing_secs * 1e3,
-            total.ftran_secs * 1e3,
-            total.btran_secs * 1e3,
-            total.ratio_secs * 1e3,
-            total.refactor_secs * 1e3,
-            total.update_secs * 1e3,
-            total.other_secs * 1e3,
-            total.lp_secs * 1e3,
-        );
+    let opts = LpOptions {
+        profile: true,
+        ..LpOptions::default()
+    };
+    let mut total = SimplexProfile::default();
+    // Accumulate enough wall clock that timer granularity is noise.
+    while total.lp_secs < 0.25 {
+        let out = solve_lp(&p, &opts).expect("lp solve");
+        assert_eq!(out.status, LpStatus::Optimal);
+        total.absorb(&out.profile);
     }
+    let coverage = total.timed_secs() / total.lp_secs;
+    assert!(
+        (0.95..=1.01).contains(&coverage),
+        "section timers cover {:.1}% of lp time \
+         (pricing {:.1} ftran {:.1} btran {:.1} ratio {:.1} refactor {:.1} \
+         update {:.1} other {:.1} vs lp {:.1} ms)",
+        coverage * 100.0,
+        total.pricing_secs * 1e3,
+        total.ftran_secs * 1e3,
+        total.btran_secs * 1e3,
+        total.ratio_secs * 1e3,
+        total.refactor_secs * 1e3,
+        total.update_secs * 1e3,
+        total.other_secs * 1e3,
+        total.lp_secs * 1e3,
+    );
 }

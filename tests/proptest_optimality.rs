@@ -7,7 +7,7 @@ use tempart::core::{brute, IlpModel, Instance, ModelConfig, SolveOptions};
 use tempart::graph::{
     Bandwidth, ComponentLibrary, FpgaDevice, FunctionGenerators, OpKind, TaskGraphBuilder,
 };
-use tempart::lp::{BasisUpdate, MipStatus};
+use tempart::lp::{Branching, MipStatus};
 
 #[derive(Debug, Clone)]
 struct SpecShape {
@@ -139,25 +139,28 @@ proptest! {
         }
     }
 
-    /// The devex engine (incremental pricing + bound-flipping dual) proves
-    /// exactly the oracle optimum on real models under the opt-in
-    /// Forrest–Tomlin kernel too: its different float rounding and dynamic
-    /// refactorization schedule must not move any optimum.
+    /// The scale stack — root cover/clique cuts, node bound propagation and
+    /// pseudo-cost branching — proves exactly the oracle optimum on real
+    /// models too: cuts may only remove fractional points, propagation may
+    /// only fix what the bounds force, and branching order never moves
+    /// the optimum.
     #[test]
-    fn devex_ilp_matches_oracle(shape in shape()) {
+    fn scale_stack_ilp_matches_oracle(shape in shape()) {
         let inst = build(&shape);
         let config = ModelConfig::tightened(2, 1);
         let model = IlpModel::build(inst.clone(), config.clone()).expect("build");
         let oracle = brute::brute_force_optimum(&inst, &config);
         let mut opts = SolveOptions::default();
-        opts.mip.lp.basis_update = BasisUpdate::FtMarkowitz;
+        opts.mip.cuts = true;
+        opts.mip.propagate = true;
+        opts.mip.branching = Branching::Pseudocost;
         let out = model.solve(&opts).expect("solve");
         match &oracle {
             Some((_, cost)) => {
                 prop_assert_eq!(out.status, MipStatus::Optimal);
                 let sol = out.solution.expect("optimal has solution");
                 prop_assert_eq!(sol.communication_cost(), *cost,
-                    "devex ILP {} vs oracle {}", sol.communication_cost(), cost);
+                    "scale-stack ILP {} vs oracle {}", sol.communication_cost(), cost);
                 sol.validate(&inst, &config).expect("semantic validation");
             }
             None => prop_assert_eq!(out.status, MipStatus::Infeasible),

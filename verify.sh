@@ -36,7 +36,7 @@ cargo test -q -p tempart-lp faults
 echo "== smoke: tables harness (Table 2, 60 s rows) =="
 cargo run --release -p tempart-bench --bin tables -- table2 --limit 60
 
-echo "== smoke: kernel study (basis engines; budgeted tiers) =="
+echo "== smoke: kernel study (LP scaling; budgeted tiers) =="
 cargo run --release -q -p tempart-bench --bin tables -- kernel-smoke --limit 300
 grep -q '"pass": true' BENCH_kernel_smoke.json
 if grep -q '"pass": false' BENCH_kernel_smoke.json; then
