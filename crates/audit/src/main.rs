@@ -18,7 +18,7 @@ use tempart_audit::report::findings_to_json;
 use tempart_audit::run_lints;
 use tempart_bench::{date98_device, date98_instance};
 use tempart_core::{IlpModel, ModelConfig, SolveOptions};
-use tempart_lp::MipStatus;
+use tempart_lp::{JsonObject, MipStatus};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -146,13 +146,15 @@ fn cmd_certify(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
         if json {
-            rows_json.push(format!(
-                "    {{\"row\": \"{label}\", \"exact_objective\": {}, \"vars\": {}, \"rows\": {}, \"closed_by_rounding\": {}}}",
-                report.exact_objective,
-                report.vars_checked,
-                report.rows_checked,
-                report.closed_by_rounding
-            ));
+            rows_json.push(
+                JsonObject::new()
+                    .str("row", &label)
+                    .num("exact_objective", report.exact_objective)
+                    .uint("vars", report.vars_checked as u64)
+                    .uint("rows", report.rows_checked as u64)
+                    .bool("closed_by_rounding", report.closed_by_rounding)
+                    .finish(),
+            );
         } else {
             println!(
                 "audit: certify: {label}: OK — exact objective {}, {} vars, {} rows verified{}",
@@ -168,7 +170,8 @@ fn cmd_certify(args: &[String]) -> ExitCode {
         }
     }
     if json {
-        println!("{{\n  \"certified\": [\n{}\n  ]\n}}", rows_json.join(",\n"));
+        let rows = format!("[{}]", rows_json.join(","));
+        println!("{}", JsonObject::new().raw("certified", &rows).finish());
     } else {
         println!(
             "audit: certify: all {} g1 rows verified exactly",

@@ -1,60 +1,32 @@
-//! Machine-readable JSON output (hand-rolled, matching the
-//! `tempart-cli` precedent of zero-dependency serialization).
+//! Machine-readable JSON output, through the workspace's one compact JSON
+//! writer (`tempart_lp::JsonObject`).
 
-use std::fmt::Write as _;
+use tempart_lp::JsonObject;
 
 use crate::lints::Finding;
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Serializes lint findings as a JSON report:
-///
-/// ```json
-/// {"findings": [{"lint": "...", "path": "...", "line": N,
-///                "message": "...", "suppressed": bool}, …],
-///  "total": N, "unsuppressed": N}
-/// ```
+/// Serializes lint findings as a one-line JSON report:
+/// `{"findings":[{"lint":…,"path":…,"line":N,"message":…,"suppressed":bool},…],"total":N,"unsuppressed":N}`.
 pub fn findings_to_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\n  \"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {\"lint\": ");
-        write_escaped(&mut out, f.lint.as_str());
-        out.push_str(", \"path\": ");
-        write_escaped(&mut out, &f.path);
-        let _ = write!(out, ", \"line\": {}", f.line);
-        out.push_str(", \"message\": ");
-        write_escaped(&mut out, &f.message);
-        let _ = write!(out, ", \"suppressed\": {}}}", f.suppressed);
-    }
-    if !findings.is_empty() {
-        out.push_str("\n  ");
-    }
+    let rows: Vec<String> = findings
+        .iter()
+        .map(|f| {
+            JsonObject::new()
+                .str("lint", f.lint.as_str())
+                .str("path", &f.path)
+                .uint("line", f.line.into())
+                .str("message", &f.message)
+                .bool("suppressed", f.suppressed)
+                .finish()
+        })
+        .collect();
     let unsuppressed = findings.iter().filter(|f| !f.suppressed).count();
-    let _ = write!(
-        out,
-        "],\n  \"total\": {},\n  \"unsuppressed\": {}\n}}\n",
-        findings.len(),
-        unsuppressed
-    );
+    let mut out = JsonObject::new()
+        .raw("findings", &format!("[{}]", rows.join(",")))
+        .uint("total", findings.len() as u64)
+        .uint("unsuppressed", unsuppressed as u64)
+        .finish();
+    out.push('\n');
     out
 }
 
@@ -73,12 +45,12 @@ mod tests {
             suppressed: false,
         }];
         let j = findings_to_json(&findings);
-        assert!(j.contains("\"lint\": \"float-eq\""));
-        assert!(j.contains("\"line\": 7"));
-        assert!(j.contains("\\\"x\\\""));
-        assert!(j.contains("\"unsuppressed\": 1"));
+        assert!(j.contains(r#""lint":"float-eq""#), "{j}");
+        assert!(j.contains(r#""line":7"#), "{j}");
+        assert!(j.contains(r#"\"x\""#), "{j}");
+        assert!(j.contains(r#""unsuppressed":1"#), "{j}");
         let empty = findings_to_json(&[]);
-        assert!(empty.contains("\"findings\": []"));
-        assert!(empty.contains("\"total\": 0"));
+        assert!(empty.contains(r#""findings":[]"#), "{empty}");
+        assert!(empty.contains(r#""total":0"#), "{empty}");
     }
 }

@@ -29,15 +29,35 @@
 //! tier, the flagship row, and the `--scale` replicated instances (LP
 //! µs/pivot against instance size), and writes `BENCH_kernel.json`.
 
-use tempart_bench::report::{format_markdown, format_table};
+//!
+//! Every `BENCH_*.json` file is a JSON array with one compact object per
+//! line. A row names its instance and configuration, then prints the
+//! solver stats through the shared schema (`tempart_lp::stats`), so a
+//! name such as `nodes` or `ftran_ms` means the same quantity in every
+//! file, in `tempart --json` and in the server's `Result` frame. An
+//! acceptance bar is a row `{"acceptance":name,…,"pass":bool}`.
+//!
+//! The exit code is non-zero when an experiment name is unknown, an
+//! acceptance bar fails, a `BENCH_*.json` file cannot be written, the
+//! `service-bench` child fails, or `race` runs without its feature.
+
+use std::process::ExitCode;
+
+use tempart_bench::report::{format_table, Artifact};
 use tempart_bench::{
-    date98_device, date98_instance, date98_scaled_instance, run_row, ExperimentRow, RowConfig,
+    build_model, date98_device, date98_instance, host_cpus, run_row, ExperimentRow, RowConfig,
 };
-use tempart_core::{CutSet, IlpModel, Linearization, ModelConfig, RuleKind, SolveOptions, WForm};
-use tempart_lp::{solve_lp, Branching, LpOptions, MipOptions};
+use tempart_core::{CutSet, IlpModel, Linearization, ModelConfig, RuleKind, SolveOptions};
+use tempart_lp::stats::ms;
+use tempart_lp::{solve_lp, Branching, JsonObject, LpOptions, LpStatus, MipOptions};
 use tempart_sim::{execute, naive_partitioning};
 
-fn main() {
+/// The experiments `all` runs, in order (`race` needs its feature and is
+/// not part of it).
+const ALL: &str =
+    "table1 table2 table3 table4 ablation simulate parallel kernel resilience scale service";
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut limit = 600.0f64;
     let mut threads = 1usize;
@@ -61,53 +81,115 @@ fn main() {
     if experiments.is_empty() {
         experiments.push("all".to_string());
     }
-    for e in experiments {
-        match e.as_str() {
-            "table1" => table1(limit, threads),
-            "table2" => table2(limit, threads),
-            "table3" => table3(limit, threads),
-            "table4" => table4(limit, threads),
-            "ablation" => ablation(limit, threads),
-            "simulate" => simulate(threads),
-            "parallel" => parallel(limit),
-            "kernel" => kernel(limit, false),
-            "kernel-smoke" => kernel(limit, true),
-            "resilience" => resilience(limit),
-            "scale" => scale(limit, false),
-            "scale-smoke" => scale(limit, true),
-            "service" => service(limit),
-            "race" => race(),
-            "all" => {
-                table1(limit, threads);
-                table2(limit, threads);
-                table3(limit, threads);
-                table4(limit, threads);
-                ablation(limit, threads);
-                simulate(threads);
-                parallel(limit);
-                kernel(limit, false);
-                resilience(limit);
-                scale(limit, false);
-                service(limit);
-            }
-            other => eprintln!(
-                "unknown experiment `{other}` (try table1..4, ablation, simulate, parallel, kernel, kernel-smoke, resilience, scale, scale-smoke, service, race, all)"
-            ),
-        }
+    let failed = experiments
+        .iter()
+        .filter(|e| {
+            run(e, limit, threads)
+                .map_err(|why| eprintln!("error: {why}"))
+                .is_err()
+        })
+        .count();
+    if failed == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
-fn run_and_print(title: &str, rows: &[RowConfig], limit: f64) -> Vec<ExperimentRow> {
+fn run(experiment: &str, limit: f64, threads: usize) -> Result<(), String> {
+    match experiment {
+        "table1" => table1(limit, threads),
+        "table2" => table2(limit, threads),
+        "table3" => table3(limit, threads),
+        "table4" => table4(limit, threads),
+        "ablation" => ablation(limit, threads),
+        "simulate" => simulate(threads),
+        "parallel" => return parallel(limit),
+        "kernel" => return kernel(limit, false),
+        "kernel-smoke" => return kernel(limit, true),
+        "resilience" => return resilience(limit),
+        "scale" => return scale(limit, false),
+        "scale-smoke" => return scale(limit, true),
+        "service" => return service(limit),
+        "race" => return race(),
+        "all" => {
+            let errors: Vec<String> = ALL
+                .split_whitespace()
+                .filter_map(|e| run(e, limit, threads).err())
+                .collect();
+            return if errors.is_empty() {
+                Ok(())
+            } else {
+                Err(errors.join("; "))
+            };
+        }
+        other => {
+            return Err(format!(
+                "unknown experiment `{other}` (try {}, kernel-smoke, scale-smoke, race, all)",
+                ALL.replace(' ', ", ")
+            ))
+        }
+    }
+    Ok(())
+}
+
+/// Rounds to three decimals (µs on a ms value, ns on a µs value).
+fn r3(v: f64) -> f64 {
+    (v * 1e3).round() / 1e3
+}
+
+/// The fastest of `reps` runs of `cfg` (wall-clock noise on sub-second
+/// solves is real); failed runs are reported and skipped.
+fn best_of(reps: usize, cfg: &RowConfig, label: &str) -> Option<ExperimentRow> {
+    (0..reps)
+        .filter_map(|_| {
+            run_row(cfg)
+                .map_err(|e| eprintln!("{label} x{} failed: {e}", cfg.threads))
+                .ok()
+        })
+        .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
+}
+
+/// A graph-1 (`2+2+1`) row of the tightened model.
+fn g1(n: u32, l: u32, rule: RuleKind, limit: f64) -> RowConfig {
+    RowConfig::paper(1, (2, 2, 1), ModelConfig::tightened(n, l), rule, limit)
+}
+
+/// `(graph, A+M+S, N, L)` of one paper-table row.
+type Case = (usize, (u32, u32, u32), u32, u32);
+
+/// The four preliminary rows of the paper's Tables 1 and 2.
+const PRELIMINARY: [Case; 4] = [
+    (1, (2, 2, 1), 3, 1),
+    (1, (2, 2, 1), 2, 2),
+    (1, (2, 2, 1), 2, 3),
+    (3, (2, 2, 2), 3, 1),
+];
+
+/// Solves `cases` under one model variant and rule, then prints the
+/// paper-style and Markdown tables.
+fn run_and_print(
+    title: &str,
+    cases: &[Case],
+    config: impl Fn(u32, u32) -> ModelConfig,
+    rule: RuleKind,
+    seed_incumbent: bool,
+    limit: f64,
+    threads: usize,
+) {
     let mut results = Vec::new();
-    for cfg in rows {
-        match run_row(cfg) {
+    for &(g, ams, n, l) in cases {
+        let cfg = RowConfig {
+            seed_incumbent,
+            threads,
+            ..RowConfig::paper(g, ams, config(n, l), rule, limit)
+        };
+        match run_row(&cfg) {
             Ok(r) => results.push(r),
             Err(e) => eprintln!("row failed: {e}"),
         }
     }
     println!("{}", format_table(title, &results, limit));
-    println!("{}", format_markdown(&results, limit));
-    results
 }
 
 /// The four preliminary rows, solved with the *basic* model — Fortet
@@ -115,94 +197,47 @@ fn run_and_print(title: &str, rows: &[RowConfig], limit: f64) -> Vec<ExperimentR
 /// unguided lowest-index rule: the paper's Table 1 setup, where three of
 /// four rows blew the 7200 s budget before the §4/§6 improvements.
 fn table1(limit: f64, threads: usize) {
-    let rows: Vec<RowConfig> = [
-        (1, (2, 2, 1), 3u32, 1u32),
-        (1, (2, 2, 1), 2, 2),
-        (1, (2, 2, 1), 2, 3),
-        (3, (2, 2, 2), 3, 1),
-    ]
-    .into_iter()
-    .map(|(g, ams, n, l)| RowConfig {
-        graph_no: g,
-        ams,
-        config: ModelConfig::basic(n, l).with_linearization(Linearization::Fortet),
-        rule: RuleKind::FirstIndex,
-        time_limit_secs: limit,
-        device: date98_device(),
-        seed_incumbent: false,
-        threads,
-        profile: false,
-        cuts: false,
-        propagate: false,
-        branching: Branching::Rule,
-        scale: 1,
-    })
-    .collect();
     run_and_print(
         "Table 1: basic formulation, unguided branching",
-        &rows,
+        &PRELIMINARY,
+        |n, l| ModelConfig::basic(n, l).with_linearization(Linearization::Fortet),
+        RuleKind::FirstIndex,
+        false,
         limit,
+        threads,
     );
 }
 
 /// Same rows with the tightened constraints (Glover + cuts (28)-(30),(32) +
 /// aggregated (31)), still unguided — the paper's Table 2.
 fn table2(limit: f64, threads: usize) {
-    let rows: Vec<RowConfig> = [
-        (1, (2, 2, 1), 3u32, 1u32),
-        (1, (2, 2, 1), 2, 2),
-        (1, (2, 2, 1), 2, 3),
-        (3, (2, 2, 2), 3, 1),
-    ]
-    .into_iter()
-    .map(|(g, ams, n, l)| RowConfig {
-        graph_no: g,
-        ams,
-        config: ModelConfig::tightened(n, l),
-        rule: RuleKind::FirstIndex,
-        time_limit_secs: limit,
-        device: date98_device(),
-        seed_incumbent: false,
-        threads,
-        profile: false,
-        cuts: false,
-        propagate: false,
-        branching: Branching::Rule,
-        scale: 1,
-    })
-    .collect();
     run_and_print(
         "Table 2: tightened constraints, unguided branching",
-        &rows,
+        &PRELIMINARY,
+        ModelConfig::tightened,
+        RuleKind::FirstIndex,
+        false,
         limit,
+        threads,
     );
 }
 
 /// Latency/partition trade-off on graph 1 (paper Table 3): tightened model
 /// with the §8 guided rule.
 fn table3(limit: f64, threads: usize) {
-    let rows: Vec<RowConfig> = [(3u32, 0u32), (3, 1), (2, 2), (2, 3)]
-        .into_iter()
-        .map(|(n, l)| RowConfig {
-            graph_no: 1,
-            ams: (2, 2, 1),
-            config: ModelConfig::tightened(n, l),
-            rule: RuleKind::Paper,
-            time_limit_secs: limit,
-            device: date98_device(),
-            seed_incumbent: false,
-            threads,
-            profile: false,
-            cuts: false,
-            propagate: false,
-            branching: Branching::Rule,
-            scale: 1,
-        })
-        .collect();
     run_and_print(
         "Table 3: latency/partition trade-off on graph 1 (guided)",
-        &rows,
+        &[
+            (1, (2, 2, 1), 3, 0),
+            (1, (2, 2, 1), 3, 1),
+            (1, (2, 2, 1), 2, 2),
+            (1, (2, 2, 1), 2, 3),
+        ],
+        ModelConfig::tightened,
+        RuleKind::Paper,
+        false,
         limit,
+        threads,
     );
 }
 
@@ -214,38 +249,24 @@ fn table4(limit: f64, threads: usize) {
     // which the instance is decidable — EXPERIMENTS.md "Deviations"). The
     // graph-4 N=3 row sits exactly on the feasibility boundary: the most
     // expensive, most interesting solve of the set.
-    let rows: Vec<RowConfig> = [
-        (1, (2u32, 2u32, 1u32), 3u32, 1u32),
-        (2, (3, 2, 2), 4, 5),
-        (3, (2, 2, 2), 3, 5),
-        (4, (2, 2, 2), 2, 6),
-        (4, (2, 2, 2), 3, 5),
-        (5, (2, 2, 2), 3, 6),
-        (5, (2, 2, 2), 2, 6),
-        (6, (2, 2, 2), 2, 13),
-        (6, (2, 2, 2), 3, 13),
-    ]
-    .into_iter()
-    .map(|(g, ams, n, l)| RowConfig {
-        graph_no: g,
-        ams,
-        config: ModelConfig::tightened(n, l),
-        rule: RuleKind::Paper,
-        time_limit_secs: limit,
-        device: date98_device(),
-        seed_incumbent: true,
-        threads,
-        profile: false,
-        cuts: false,
-        propagate: false,
-        branching: Branching::Rule,
-        scale: 1,
-    })
-    .collect();
     run_and_print(
         "Table 4: temporal partitioning results (guided)",
-        &rows,
+        &[
+            (1, (2, 2, 1), 3, 1),
+            (2, (3, 2, 2), 4, 5),
+            (3, (2, 2, 2), 3, 5),
+            (4, (2, 2, 2), 2, 6),
+            (4, (2, 2, 2), 3, 5),
+            (5, (2, 2, 2), 3, 6),
+            (5, (2, 2, 2), 2, 6),
+            (6, (2, 2, 2), 2, 13),
+            (6, (2, 2, 2), 3, 13),
+        ],
+        ModelConfig::tightened,
+        RuleKind::Paper,
+        true,
         limit,
+        threads,
     );
 }
 
@@ -258,95 +279,65 @@ fn ablation(limit: f64, threads: usize) {
         "variant", "time(s)", "feasible", "cost", "nodes"
     );
     let base = ModelConfig::tightened(3, 1);
-    let variants: Vec<(String, ModelConfig, RuleKind, bool)> = vec![
+    let without = |drop: fn(&mut CutSet)| {
+        let mut cuts = CutSet::ALL;
+        drop(&mut cuts);
+        base.clone().with_cuts(cuts)
+    };
+    let fortet = base.clone().with_linearization(Linearization::Fortet);
+    let (paper, seeded) = (RuleKind::Paper, true);
+    let variants: [(&str, ModelConfig, RuleKind, bool); 10] = [
+        ("tightened + paper rule", base.clone(), paper, false),
+        ("tightened + paper + incumbent", base.clone(), paper, seeded),
         (
-            "tightened + paper rule".into(),
-            base.clone(),
-            RuleKind::Paper,
-            false,
-        ),
-        (
-            "tightened + paper + incumbent".into(),
-            base.clone(),
-            RuleKind::Paper,
-            true,
-        ),
-        (
-            "tightened + first-index".into(),
+            "tightened + first-index",
             base.clone(),
             RuleKind::FirstIndex,
             false,
         ),
         (
-            "tightened + most-fractional".into(),
+            "tightened + most-fractional",
             base.clone(),
             RuleKind::MostFractional,
             false,
         ),
+        ("fortet products + paper rule", fortet, paper, false),
         (
-            "fortet products + paper rule".into(),
-            base.clone().with_linearization(Linearization::Fortet),
-            RuleKind::Paper,
-            false,
-        ),
-        (
-            "basic (no cuts) + paper rule".into(),
+            "basic (no cuts) + paper rule",
             ModelConfig::basic(3, 1),
-            RuleKind::Paper,
+            paper,
             false,
         ),
         (
-            "no producer cut (28)".into(),
-            base.clone().with_cuts(CutSet {
-                producer_after: false,
-                ..CutSet::ALL
-            }),
-            RuleKind::Paper,
+            "no producer cut (28)",
+            without(|c| c.producer_after = false),
+            paper,
             false,
         ),
         (
-            "no consumer cut (29)".into(),
-            base.clone().with_cuts(CutSet {
-                consumer_before: false,
-                ..CutSet::ALL
-            }),
-            RuleKind::Paper,
+            "no consumer cut (29)",
+            without(|c| c.consumer_before = false),
+            paper,
             false,
         ),
         (
-            "no same-partition cut (30)".into(),
-            base.clone().with_cuts(CutSet {
-                same_partition: false,
-                ..CutSet::ALL
-            }),
-            RuleKind::Paper,
+            "no same-partition cut (30)",
+            without(|c| c.same_partition = false),
+            paper,
             false,
         ),
         (
-            "no usage-link cut (32)".into(),
-            base.clone().with_cuts(CutSet {
-                usage_link: false,
-                ..CutSet::ALL
-            }),
-            RuleKind::Paper,
+            "no usage-link cut (32)",
+            without(|c| c.usage_link = false),
+            paper,
             false,
         ),
     ];
     for (name, config, rule, seed_incumbent) in variants {
         let cfg = RowConfig {
-            graph_no: 1,
-            ams: (2, 2, 1),
-            config,
-            rule,
-            time_limit_secs: limit,
-            device: date98_device(),
             seed_incumbent,
             threads,
-            profile: false,
-            cuts: false,
-            propagate: false,
-            branching: Branching::Rule,
-            scale: 1,
+            ..RowConfig::paper(1, (2, 2, 1), config, rule, limit)
         };
         match run_row(&cfg) {
             Ok(r) => println!(
@@ -355,22 +346,17 @@ fn ablation(limit: f64, threads: usize) {
                 r.runtime_display(limit),
                 r.feasible_display(),
                 r.cost.map_or("-".to_string(), |c| c.to_string()),
-                r.nodes
+                r.stats.nodes
             ),
             Err(e) => println!("{name:<34} ERROR {e}"),
         }
     }
     println!();
 }
-
 /// End-to-end execution study: ILP-optimal vs bandwidth-oblivious naive
 /// partitioning, total cycles including reconfiguration and staging.
 fn simulate(threads: usize) {
     println!("Simulation: ILP vs naive partitioning (total execution cycles)");
-    println!(
-        "{:<7} {:>2} {:>2} {:>9} {:>10} {:>12} {:>12} {:>8}",
-        "graph", "N", "L", "ilp-cost", "nv-cost", "ilp-cycles", "nv-cycles", "saved"
-    );
     // Per-graph (N, L) settings at which the instance is decidable (see
     // EXPERIMENTS.md "Deviations").
     for (g, ams, n, l, budget) in [
@@ -400,39 +386,30 @@ fn simulate(threads: usize) {
             continue;
         };
         let Some(ilp) = out.solution else {
-            println!(
-                "{:<7} {n:>2} {l:>2} (no solution within {budget:.0}s)",
-                format!("graph{g}")
-            );
+            println!("graph {g}, n {n}, l {l}: no solution within {budget:.0} s");
             continue;
         };
-        let ri = execute(&inst, &ilp);
-        match naive_partitioning(&inst, &config) {
-            Some(naive) => {
-                let rn = execute(&inst, &naive);
-                println!(
-                    "{:<7} {n:>2} {l:>2} {:>9} {:>10} {:>12} {:>12} {:>7.1}%",
-                    format!("graph{g}"),
-                    ilp.communication_cost(),
-                    naive.communication_cost(),
-                    ri.total_cycles(),
-                    rn.total_cycles(),
-                    100.0 * (1.0 - ri.total_cycles() as f64 / rn.total_cycles().max(1) as f64)
-                );
-            }
-            None => {
-                // The bandwidth-oblivious packer cannot even fit the horizon.
-                println!(
-                    "{:<7} {n:>2} {l:>2} {:>9} {:>10} {:>12} {:>12} {:>8}",
-                    format!("graph{g}"),
-                    ilp.communication_cost(),
-                    "n/a",
-                    ri.total_cycles(),
-                    "n/a",
-                    "-"
-                );
-            }
-        }
+        let ri = execute(&inst, &ilp).total_cycles();
+        let naive = naive_partitioning(&inst, &config)
+            .map(|nv| (nv.communication_cost(), execute(&inst, &nv).total_cycles()));
+        let saved = naive.map_or(f64::NAN, |(_, rn)| {
+            r3(100.0 * (1.0 - ri as f64 / rn.max(1) as f64))
+        });
+        // A `null` naive cost: the bandwidth-oblivious packer cannot even
+        // fit the horizon.
+        let mut o = JsonObject::new();
+        o.uint("graph", g as u64)
+            .uint("n", n.into())
+            .uint("l", l.into())
+            .uint("ilp_cost", ilp.communication_cost())
+            .opt_uint("naive_cost", naive.map(|(c, _)| c))
+            .uint("ilp_cycles", ri)
+            .opt_uint("naive_cycles", naive.map(|(_, rn)| rn))
+            .num("saved_pct", saved);
+        println!(
+            "{}",
+            o.text("graph n l ilp_cost naive_cost ilp_cycles naive_cycles saved_pct")
+        );
     }
     println!();
 }
@@ -445,175 +422,98 @@ fn simulate(threads: usize) {
 ///
 /// The headline per-node metric is `node_wall_us` — wall-clock per node,
 /// which is flat in thread count at fixed per-node cost and *drops* with
-/// effective parallelism. (The old `node_lp_us` summed LP time across
-/// workers before dividing, so it grew with thread count even when nothing
-/// regressed; that sum is still reported as `aggregate_lp_us_per_node`,
-/// labeled as total CPU work.) Contention counters (steals, steal
-/// failures, CoW basis clones, incumbent-exchange retries, lock waits) and
-/// per-worker busy time go into `BENCH_parallel.json` alongside the
-/// timings, and the host CPU count is recorded because it caps the
-/// measured speedup: on a 1-CPU container the acceptance bar is per-node
-/// wall overhead within 10% of serial, on a ≥4-core host it is ≥2×
-/// wall-clock speedup at 4 threads on g1-N3-L1.
-fn parallel(limit: f64) {
+/// effective parallelism (LP time summed across workers, `lp_ms`, grows
+/// with thread count even when nothing regressed: it is total CPU work).
+/// Contention
+/// counters and per-worker busy time go into `BENCH_parallel.json`
+/// alongside the timings, and the host CPU count is recorded because it
+/// caps the measured speedup: on a host with fewer than 4 CPUs the
+/// acceptance bar is per-node wall overhead within 10% of serial, on a
+/// ≥4-core host it is ≥2× wall-clock speedup at 4 threads on g1-N3-L1.
+fn parallel(limit: f64) -> Result<(), String> {
     const THREADS: [usize; 3] = [1, 2, 4];
     const REPS: usize = 3;
-    // (label, graph, ams, N, L, rule). The guided rows are the unseeded
-    // Table 3 workhorses (271 and 267 serial nodes); the unguided row is the
-    // Table 2 flagship — ~8.9k cheap nodes, the tree shape where node-level
-    // parallelism pays most.
-    type Case = (&'static str, usize, (u32, u32, u32), u32, u32, RuleKind);
-    let cases: [Case; 3] = [
-        ("g1-N3-L1", 1, (2, 2, 1), 3, 1, RuleKind::Paper),
-        ("g1-N2-L2", 1, (2, 2, 1), 2, 2, RuleKind::Paper),
-        (
-            "g1-N3-L1-unguided",
-            1,
-            (2, 2, 1),
-            3,
-            1,
-            RuleKind::FirstIndex,
-        ),
+    // (label, rule). The guided rows are the unseeded Table 3 workhorses;
+    // the unguided row is the Table 2 flagship — ~8.9k cheap nodes, the
+    // tree shape where node-level parallelism pays most.
+    let cases: [(&str, u32, u32, RuleKind); 3] = [
+        ("g1-N3-L1", 3, 1, RuleKind::Paper),
+        ("g1-N2-L2", 2, 2, RuleKind::Paper),
+        ("g1-N3-L1-unguided", 3, 1, RuleKind::FirstIndex),
     ];
-    let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
-    println!("Parallel branch and bound: wall-clock speedup over the serial solver");
+    let host_cpus = host_cpus();
     println!(
-        "(host has {host_cpus} CPU{}; speedup is capped by the host core count)",
-        if host_cpus == 1 { "" } else { "s" }
+        "Parallel branch and bound: wall-clock speedup over the serial solver \
+         (host has {host_cpus} CPUs; speedup is capped by the host core count)"
     );
-    println!(
-        "{:<18} {:>7} {:>9} {:>7} {:>5} {:>8} {:>10} {:>7} {:>6} {:>6}",
-        "instance",
-        "threads",
-        "wall(ms)",
-        "nodes",
-        "cost",
-        "speedup",
-        "nd-wall-us",
-        "steals",
-        "cow",
-        "waits"
-    );
-    let mut json_rows: Vec<String> = Vec::new();
-    // (threads, wall_ms, node_wall_us) per case, for the acceptance bar.
+    let mut art = Artifact::default();
+    // (threads, wall_ms, node_wall_us) of the flagship, for the bar.
     let mut flagship: Vec<(usize, f64, f64)> = Vec::new();
-    for (label, g, ams, n, l, rule) in cases {
+    for (label, n, l, rule) in cases {
         let mut serial_ms = None;
         for threads in THREADS {
             let cfg = RowConfig {
-                graph_no: g,
-                ams,
-                config: ModelConfig::tightened(n, l),
-                rule,
-                time_limit_secs: limit,
-                device: date98_device(),
-                seed_incumbent: false,
                 threads,
-                profile: false,
-                cuts: false,
-                propagate: false,
-                branching: Branching::Rule,
-                scale: 1,
+                ..g1(n, l, rule, limit)
             };
-            let mut best: Option<ExperimentRow> = None;
-            for _ in 0..REPS {
-                match run_row(&cfg) {
-                    Ok(r) => {
-                        if best.as_ref().is_none_or(|b| r.seconds < b.seconds) {
-                            best = Some(r);
-                        }
-                    }
-                    Err(e) => eprintln!("{label} x{threads} failed: {e}"),
-                }
-            }
-            let Some(row) = best else { continue };
+            let Some(row) = best_of(REPS, &cfg, label) else {
+                continue;
+            };
             let wall_ms = row.seconds * 1e3;
             if threads == 1 {
                 serial_ms = Some(wall_ms);
             }
             let speedup = serial_ms.map(|s| s / wall_ms);
-            let c = row.stats.contention;
             if label == "g1-N3-L1" {
                 flagship.push((threads, wall_ms, row.node_wall_us()));
             }
-            println!(
-                "{:<18} {:>7} {:>9.1} {:>7} {:>5} {:>8} {:>10.1} {:>7} {:>6} {:>6}",
-                label,
-                threads,
-                wall_ms,
-                row.nodes,
-                row.cost.map_or("-".to_string(), |c| c.to_string()),
-                speedup.map_or("-".to_string(), |s| format!("{s:.2}x")),
-                row.node_wall_us(),
-                c.steals,
-                c.cow_clones,
-                c.lock_waits,
-            );
-            let busy_ms: Vec<String> = row
+            let busy_ms: Vec<f64> = row
                 .stats
                 .per_worker_busy_secs
                 .iter()
-                .map(|s| format!("{:.3}", s * 1e3))
+                .map(|&s| ms(s))
                 .collect();
-            json_rows.push(format!(
-                "  {{\"instance\": \"{label}\", \"threads\": {threads}, \"host_cpus\": {host_cpus}, \
-                 \"nodes\": {}, \"lp_iterations\": {}, \"node_wall_us\": {:.3}, \
-                 \"aggregate_lp_us_per_node\": {:.3}, \"wall_ms\": {:.3}, \
-                 \"worker_busy_ms\": [{}], \"steals\": {}, \"steal_failures\": {}, \
-                 \"cow_clones\": {}, \"incumbent_retries\": {}, \"lock_waits\": {}, \
-                 \"cost\": {}, \"speedup\": {}}}",
-                row.nodes,
-                row.lp_iterations,
-                row.node_wall_us(),
-                row.aggregate_lp_us_per_node(),
-                wall_ms,
-                busy_ms.join(", "),
-                c.steals,
-                c.steal_failures,
-                c.cow_clones,
-                c.incumbent_retries,
-                c.lock_waits,
-                row.cost.map_or("null".to_string(), |c| c.to_string()),
-                speedup.map_or("null".to_string(), |s| format!("{s:.4}")),
-            ));
+            let mut o = JsonObject::new();
+            o.str("instance", label).uint("threads", threads as u64);
+            row.write_json(&mut o);
+            o.num("node_wall_us", r3(row.node_wall_us()))
+                .nums("worker_busy_ms", &busy_ms)
+                .num("speedup", speedup.map_or(f64::NAN, r3));
+            art.row(
+                &o, "instance threads wall_ms nodes cost speedup node_wall_us steals cow_clones lock_waits",
+            );
         }
     }
-    // Pinned acceptance bar on the flagship guided row: ≥2× speedup at 4
-    // threads on a ≥4-core host; on smaller hosts (this container has 1
-    // CPU) parallelism cannot pay, so the bar is scheduler overhead — wall
-    // clock per node at 4 threads within 10% of serial.
-    let bar = {
-        let at = |t: usize| flagship.iter().find(|&&(th, _, _)| th == t);
-        match (at(1), at(4)) {
-            (Some(&(_, s_ms, s_nwu)), Some(&(_, p_ms, p_nwu))) => {
-                let (criterion, value, pass) = if host_cpus >= 4 {
-                    ("speedup_at_4_threads_ge_2", s_ms / p_ms, s_ms / p_ms >= 2.0)
-                } else {
-                    (
-                        "node_wall_overhead_at_4_threads_le_1.10",
-                        p_nwu / s_nwu,
-                        p_nwu / s_nwu <= 1.10,
-                    )
-                };
-                println!(
-                    "acceptance [{}]: {criterion} = {value:.3} on g1-N3-L1",
-                    if pass { "PASS" } else { "FAIL" }
-                );
-                format!(
-                    "  {{\"acceptance\": \"{criterion}\", \"instance\": \"g1-N3-L1\", \
-                     \"host_cpus\": {host_cpus}, \"value\": {value:.4}, \"pass\": {pass}}}"
+    // The bar on the flagship guided row: ≥2× speedup at 4 threads on a
+    // ≥4-core host; on smaller hosts parallelism cannot pay, so the bar is
+    // scheduler overhead — wall clock per node at 4 threads within 10% of
+    // serial.
+    let at = |t: usize| flagship.iter().find(|&&(th, _, _)| th == t);
+    match (at(1), at(4)) {
+        (Some(&(_, s_ms, s_nwu)), Some(&(_, p_ms, p_nwu))) => {
+            let (criterion, value, pass) = if host_cpus >= 4 {
+                ("speedup_at_4_threads_ge_2", s_ms / p_ms, s_ms / p_ms >= 2.0)
+            } else {
+                (
+                    "node_wall_overhead_at_4_threads_le_1.10",
+                    p_nwu / s_nwu,
+                    p_nwu / s_nwu <= 1.10,
                 )
-            }
-            _ => "  {\"acceptance\": \"missing-flagship-rows\", \"pass\": false}".to_string(),
+            };
+            art.bar(
+                criterion,
+                pass,
+                JsonObject::new()
+                    .str("instance", "g1-N3-L1")
+                    .uint("host_cpus", host_cpus as u64)
+                    .num("value", r3(value)),
+            );
         }
-    };
-    json_rows.push(bar);
-    let json = format!("[\n{}\n]\n", json_rows.join(",\n"));
-    match std::fs::write("BENCH_parallel.json", &json) {
-        Ok(()) => println!("wrote BENCH_parallel.json ({} rows)", json_rows.len()),
-        Err(e) => eprintln!("cannot write BENCH_parallel.json: {e}"),
+        _ => art.bar("missing-flagship-rows", false, &JsonObject::new()),
     }
+    let written = art.write("BENCH_parallel.json");
     println!();
+    written
 }
 
 /// LP scaling study (DESIGN.md §5h): the Forrest–Tomlin basis kernel over
@@ -625,28 +525,29 @@ fn parallel(limit: f64) {
 /// 2. *Flagship*: the Table 2 unguided workhorse end-to-end, best of
 ///    two runs, with per-phase LP timers. The bar is the proven optimum
 ///    13.
-/// 3. *Scaled*: externally timed root-LP solves at a fixed pivot cap on
-///    the replicate-and-chain instances, including the ≥500-op `g1x23`
-///    row: µs/pivot against instance size. The bar is that the `g1x4`
-///    root LP converges under the cap to its optimum 0 (the doubled-chain
-///    MIPs themselves are undecidable in any reasonable budget).
+/// 3. *Scaled*: externally timed, profiled root-LP solves at a fixed pivot
+///    cap on the replicate-and-chain instances, including the ≥500-op
+///    `g1x23` row: µs/pivot against instance size. A capped solve still
+///    reports its simplex profile, so every row carries the same bucket
+///    fields. The bar is that the `g1x4` root LP converges under the cap
+///    to its optimum 0 (the doubled-chain MIPs themselves are undecidable
+///    in any reasonable budget).
 ///
 /// Every row stamps `host_cpus` and the instance size (`ops`, `rows`,
 /// `cols`, `nnz`) so artifacts measured on different hosts stay
-/// comparable. Results go to stdout and `BENCH_kernel.json` (written via
-/// `BENCH_kernel.json.tmp` and renamed, so an interrupted run never
-/// leaves a truncated artifact). `kernel-smoke` is the budgeted CI
-/// variant: the g1 row only on the equivalence tier, single reps, the
-/// smaller scaled row only, and a separate gitignored artifact
-/// (`BENCH_kernel_smoke.json`) so local `verify.sh` runs never clobber
-/// the committed full-budget one.
-fn kernel(limit: f64, smoke: bool) {
-    let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
-    let mut json_rows: Vec<String> = Vec::new();
+/// comparable. Results go to stdout and `BENCH_kernel.json`.
+/// `kernel-smoke` is the budgeted CI variant: the g1 row only on the
+/// equivalence tier, single reps, the smaller scaled row only, and a
+/// separate gitignored artifact (`BENCH_kernel_smoke.json`) so local
+/// `verify.sh` runs never clobber the committed full-budget one.
+fn kernel(limit: f64, smoke: bool) -> Result<(), String> {
+    let host_cpus = host_cpus();
+    let mut art = Artifact::default();
     println!(
         "Kernel study: Forrest–Tomlin/Markowitz LP scaling{}",
         if smoke { " (smoke)" } else { "" }
     );
+    let echo = "tier instance wall_ms nodes lp_iterations refactors cost";
 
     // Tier 1 — equivalence: the decidable Table 4 row of every paper graph
     // (graph 4's N3 L5 boundary row is undecidable in the budget; its N2 L6
@@ -661,26 +562,12 @@ fn kernel(limit: f64, smoke: bool) {
         ("g6-N2-L13", 6, (2, 2, 2), 2, 13, 0),
     ];
     let eq_cases: &[EqCase] = if smoke { &EQ_CASES[..1] } else { &EQ_CASES };
-    println!(
-        "{:<20} {:>9} {:>7} {:>9} {:>9} {:>5}",
-        "instance", "wall(ms)", "nodes", "lp-iters", "refactors", "cost"
-    );
     let mut eq_pass = true;
     for &(label, g, ams, n, l, pinned) in eq_cases {
         let cfg = RowConfig {
-            graph_no: g,
-            ams,
-            config: ModelConfig::tightened(n, l),
-            rule: RuleKind::Paper,
-            time_limit_secs: limit,
-            device: date98_device(),
             seed_incumbent: true,
-            threads: 1,
             profile: true,
-            cuts: false,
-            propagate: false,
-            branching: Branching::Rule,
-            scale: 1,
+            ..RowConfig::paper(g, ams, ModelConfig::tightened(n, l), RuleKind::Paper, limit)
         };
         let row = match run_row(&cfg) {
             Ok(r) => r,
@@ -697,235 +584,133 @@ fn kernel(limit: f64, smoke: bool) {
             eq_pass = false;
             eprintln!("kernel equivalence {label}: proved {proven:?}, pinned {pinned}");
         }
-        let p = &row.stats.simplex;
-        println!(
-            "{:<20} {:>9.1} {:>7} {:>9} {:>9} {:>5}",
-            label,
-            row.seconds * 1e3,
-            row.nodes,
-            row.lp_iterations,
-            p.refactors,
-            row.cost.map_or("-".to_string(), |c| c.to_string()),
-        );
-        json_rows.push(format!(
-            "  {{\"tier\": \"equivalence\", \"instance\": \"{label}\", \
-             \"optimal\": {}, \"cost\": {}, \"pinned_cost\": {pinned}, \
-             \"nodes\": {}, \"lp_iterations\": {}, \"refactors\": {}, \
-             \"wall_ms\": {:.3}, \"host_cpus\": {host_cpus}, \"ops\": {}, \
-             \"rows\": {}, \"cols\": {}, \"nnz\": {}}}",
-            proven.is_some(),
-            row.cost.map_or("null".to_string(), |c| c.to_string()),
-            row.nodes,
-            row.lp_iterations,
-            p.refactors,
-            row.seconds * 1e3,
-            row.opers,
-            row.consts,
-            row.vars,
-            row.nnz,
-        ));
+        let mut o = JsonObject::new();
+        o.str("tier", "equivalence")
+            .str("instance", label)
+            .bool("optimal", proven.is_some())
+            .uint("pinned_cost", pinned);
+        row.write_json(&mut o);
+        art.row(&o, echo);
     }
-    json_rows.push(format!(
-        "  {{\"acceptance\": \"equivalence_rows_prove_pinned_optima\", \
-         \"instances\": {}, \"pass\": {eq_pass}}}",
-        eq_cases.len(),
-    ));
-    println!(
-        "acceptance [{}]: {} equivalence rows prove their pinned optima",
-        if eq_pass { "PASS" } else { "FAIL" },
-        eq_cases.len(),
+    art.bar(
+        "equivalence_rows_prove_pinned_optima",
+        eq_pass,
+        JsonObject::new().uint("instances", eq_cases.len() as u64),
     );
 
     // Tier 2 — flagship end-to-end (Table 2 unguided workhorse).
     let reps = if smoke { 1 } else { 2 };
     let cfg = RowConfig {
-        graph_no: 1,
-        ams: (2, 2, 1),
-        config: ModelConfig::tightened(3, 1),
-        rule: RuleKind::FirstIndex,
-        time_limit_secs: limit,
-        device: date98_device(),
-        seed_incumbent: false,
-        threads: 1,
         profile: true,
-        cuts: false,
-        propagate: false,
-        branching: Branching::Rule,
-        scale: 1,
+        ..g1(3, 1, RuleKind::FirstIndex, limit)
     };
-    let mut flagship: Option<ExperimentRow> = None;
-    for _ in 0..reps {
-        match run_row(&cfg) {
-            Ok(r) => {
-                if flagship.as_ref().is_none_or(|b| r.seconds < b.seconds) {
-                    flagship = Some(r);
-                }
-            }
-            Err(e) => eprintln!("kernel flagship failed: {e}"),
-        }
-    }
+    let flagship = best_of(reps, &cfg, "kernel flagship");
     if let Some(row) = &flagship {
-        let p = &row.stats.simplex;
-        println!(
-            "{:<20} {:>9.1} {:>7} {:>9} {:>9} {:>5}",
-            "g1-N3-L1-unguided",
-            row.seconds * 1e3,
-            row.nodes,
-            row.lp_iterations,
-            p.refactors,
-            row.cost.map_or("-".to_string(), |c| c.to_string()),
-        );
-        json_rows.push(format!(
-            "  {{\"tier\": \"flagship\", \"instance\": \"g1-N3-L1-unguided\", \
-             \"cost\": {}, \"nodes\": {}, \
-             \"lp_iterations\": {}, \"refactors\": {}, \"wall_ms\": {:.3}, \
-             \"lp_ms\": {:.3}, \"ftran_ms\": {:.3}, \"btran_ms\": {:.3}, \
-             \"refactor_ms\": {:.3}, \"update_ms\": {:.3}, \
-             \"host_cpus\": {host_cpus}, \
-             \"ops\": {}, \"rows\": {}, \"cols\": {}, \"nnz\": {}}}",
-            row.cost.map_or("null".to_string(), |c| c.to_string()),
-            row.nodes,
-            row.lp_iterations,
-            p.refactors,
-            row.seconds * 1e3,
-            p.lp_secs * 1e3,
-            p.ftran_secs * 1e3,
-            p.btran_secs * 1e3,
-            p.refactor_secs * 1e3,
-            p.update_secs * 1e3,
-            row.opers,
-            row.consts,
-            row.vars,
-            row.nnz,
-        ));
+        let mut o = JsonObject::new();
+        o.str("tier", "flagship")
+            .str("instance", "g1-N3-L1-unguided");
+        row.write_json(&mut o);
+        art.row(&o, echo);
     }
     let flagship_cost = flagship
         .as_ref()
         .and_then(|r| r.cost.filter(|_| !r.timed_out));
-    let flagship_pass = flagship_cost == Some(13);
-    println!(
-        "acceptance [{}]: g1-N3-L1-unguided proves cost {}",
-        if flagship_pass { "PASS" } else { "FAIL" },
-        flagship_cost.map_or("-".to_string(), |c| c.to_string()),
+    art.bar(
+        "flagship_proves_cost_13",
+        flagship_cost == Some(13),
+        JsonObject::new()
+            .str("instance", "g1-N3-L1-unguided")
+            .opt_uint("cost", flagship_cost),
     );
-    json_rows.push(format!(
-        "  {{\"acceptance\": \"flagship_proves_cost_13\", \
-         \"instance\": \"g1-N3-L1-unguided\", \"cost\": {}, \"pass\": {flagship_pass}}}",
-        flagship_cost.map_or("null".to_string(), |c| c.to_string()),
-    ));
 
-    // Tier 3 — scaled root-LP tier: solve_lp at a fixed pivot cap, timed
-    // externally (hitting the cap is the expected termination on g1x23).
+    // Tier 3 — scaled root-LP tier: profiled solve_lp at a fixed pivot
+    // cap, timed externally (hitting the cap is the expected termination
+    // on g1x23).
     type ScaledCase = (&'static str, usize, u32, u32, usize);
-    let scaled_cases: Vec<ScaledCase> = if smoke {
-        vec![("g1x4-N3-L6", 4, 3, 6, 1_500)]
+    let scaled_cases: &[ScaledCase] = if smoke {
+        &[("g1x4-N3-L6", 4, 3, 6, 1_500)]
     } else {
-        vec![
+        &[
             ("g1x4-N3-L6", 4, 3, 6, 3_000),
             ("g1x23-N3-L2", 23, 3, 2, 3_000),
         ]
     };
-    println!(
-        "{:<20} {:>9} {:>9} {:>9} {:>12}",
-        "instance", "pivots", "lp(ms)", "us/pivot", "objective"
-    );
-    for (label, k, n, l, cap) in scaled_cases {
-        let instance = match date98_scaled_instance(1, k, 2, 2, 1, date98_device()) {
-            Ok(i) => i,
-            Err(e) => {
-                eprintln!("kernel scaled {label}: instance failed: {e}");
-                continue;
-            }
+    for &(label, k, n, l, cap) in scaled_cases {
+        let cfg = RowConfig {
+            scale: k,
+            ..g1(n, l, RuleKind::Paper, limit)
         };
-        let ops = instance.graph().num_ops();
-        let model = match IlpModel::build(instance, ModelConfig::tightened(n, l)) {
-            Ok(m) => m,
+        let (model, _, ops, nnz) = match build_model(&cfg) {
+            Ok(built) => built,
             Err(e) => {
                 eprintln!("kernel scaled {label}: model failed: {e}");
                 continue;
             }
         };
-        let stats = model.stats().clone();
-        let nnz: usize = model
-            .problem()
-            .rows_for_export()
-            .map(|r| r.coeffs.len())
-            .sum();
+        let size = model.stats();
         let opts = LpOptions {
             max_iterations: cap,
+            profile: true,
             ..LpOptions::default()
         };
-        let mut best: Option<(f64, usize, Option<f64>)> = None;
+        let mut best: Option<(f64, tempart_lp::LpOutcome)> = None;
         for _ in 0..reps {
             let started = std::time::Instant::now();
-            let res = solve_lp(model.problem(), &opts);
-            let wall = started.elapsed().as_secs_f64();
-            let cell = match res {
-                Ok(out) => (wall, out.iterations, Some(out.objective)),
-                Err(tempart_lp::LpError::IterationLimit) => (wall, cap, None),
-                Err(e) => {
-                    eprintln!("kernel scaled {label} failed: {e}");
-                    continue;
+            match solve_lp(model.problem(), &opts) {
+                Ok(out) => {
+                    let wall = started.elapsed().as_secs_f64();
+                    if best.as_ref().is_none_or(|b| wall < b.0) {
+                        best = Some((wall, out));
+                    }
                 }
-            };
-            if best.as_ref().is_none_or(|b| cell.0 < b.0) {
-                best = Some(cell);
+                Err(e) => eprintln!("kernel scaled {label} failed: {e}"),
             }
         }
-        let objective = best.and_then(|(_, _, o)| o);
-        if let Some((wall, iters, _)) = best {
-            let us_per_iter = wall * 1e6 / iters.max(1) as f64;
-            println!(
-                "{:<20} {:>9} {:>9.1} {:>9.1} {:>12}",
-                label,
-                iters,
-                wall * 1e3,
-                us_per_iter,
-                objective.map_or("cap hit".to_string(), |o| format!("{o:.3}")),
+        let objective = best
+            .as_ref()
+            .filter(|(_, out)| out.status == LpStatus::Optimal)
+            .map(|(_, out)| out.objective);
+        if let Some((wall, out)) = &best {
+            let us_per_pivot = wall * 1e6 / out.iterations.max(1) as f64;
+            let mut o = JsonObject::new();
+            o.str("tier", "scaled")
+                .str("instance", label)
+                .uint("pivot_cap", cap as u64)
+                .uint("pivots", out.iterations as u64)
+                .num("wall_ms", ms(*wall))
+                .num("us_per_pivot", r3(us_per_pivot))
+                .num("objective", objective.unwrap_or(f64::NAN))
+                .uint("host_cpus", host_cpus as u64)
+                .uint("ops", ops as u64)
+                .uint("rows", size.num_constraints as u64)
+                .uint("cols", size.num_vars as u64)
+                .uint("nnz", nnz as u64)
+                .stats(out.profile.stats());
+            art.row(
+                &o,
+                "tier instance pivots wall_ms us_per_pivot objective retries lp_ms",
             );
-            json_rows.push(format!(
-                "  {{\"tier\": \"scaled\", \"instance\": \"{label}\", \
-                 \"pivot_cap\": {cap}, \"pivots\": {iters}, \
-                 \"lp_ms\": {:.3}, \"us_per_pivot\": {us_per_iter:.3}, \
-                 \"objective\": {}, \"host_cpus\": {host_cpus}, \"ops\": {ops}, \
-                 \"rows\": {}, \"cols\": {}, \"nnz\": {nnz}}}",
-                wall * 1e3,
-                objective.map_or("null".to_string(), |o| format!("{o:.6}")),
-                stats.num_constraints,
-                stats.num_vars,
-            ));
         }
         if label == "g1x4-N3-L6" {
-            let pass = objective.is_some_and(|o| o.abs() <= 1e-6);
-            println!(
-                "acceptance [{}]: {label} root LP converges under the cap to objective 0",
-                if pass { "PASS" } else { "FAIL" },
+            art.bar(
+                "scaled_root_lp_converges_to_0",
+                objective.is_some_and(|o| o.abs() <= 1e-6),
+                JsonObject::new()
+                    .str("instance", label)
+                    .uint("pivot_cap", cap as u64)
+                    .num("objective", objective.unwrap_or(f64::NAN)),
             );
-            json_rows.push(format!(
-                "  {{\"acceptance\": \"scaled_root_lp_converges_to_0\", \
-                 \"instance\": \"{label}\", \"pivot_cap\": {cap}, \"objective\": {}, \
-                 \"pass\": {pass}}}",
-                objective.map_or("null".to_string(), |o| format!("{o:.6e}")),
-            ));
         }
     }
-
-    let json = format!("[\n{}\n]\n", json_rows.join(",\n"));
     // The smoke run writes its own (gitignored) artifact so a local
     // `verify.sh` pass never clobbers the committed full-budget one.
-    // Write-then-rename: a crash mid-write cannot corrupt the artifact.
-    let path = if smoke {
+    let written = art.write(if smoke {
         "BENCH_kernel_smoke.json"
     } else {
         "BENCH_kernel.json"
-    };
-    let tmp = format!("{path}.tmp");
-    let write = std::fs::write(&tmp, &json).and_then(|()| std::fs::rename(&tmp, path));
-    match write {
-        Ok(()) => println!("wrote {path} ({} rows)", json_rows.len()),
-        Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
+    });
     println!();
+    written
 }
 
 /// Anytime-resilience study: the Table 3 workhorse (graph 1, N=3, L=1,
@@ -937,31 +722,21 @@ fn kernel(limit: f64, smoke: bool) {
 /// time at all" down to the proven optimum. The full serial solve takes
 /// ~8.3k pivots, so the sweep brackets that. Results go to stdout and
 /// `BENCH_resilience.json`.
-fn resilience(limit: f64) {
+fn resilience(limit: f64) -> Result<(), String> {
     const BUDGETS: [usize; 6] = [50, 500, 2_000, 5_000, 9_000, usize::MAX];
     println!("Resilience: anytime gap vs deterministic pivot budget (g1, N=3, L=1, guided)");
-    println!(
-        "{:<10} {:>6} {:>11} {:>9} {:>6} {:>9} {:>7} {:>9}",
-        "budget", "seeded", "status", "source", "cost", "gap", "nodes", "lp-iters"
-    );
-    let device = date98_device();
-    let Ok(inst) = date98_instance(1, 2, 2, 1, device) else {
-        eprintln!("resilience: cannot build graph-1 instance");
-        return;
-    };
-    let config = ModelConfig::tightened(3, 1);
-    let mut json_rows: Vec<String> = Vec::new();
+    let mut art = Artifact::default();
     for seed_incumbent in [false, true] {
         for budget in BUDGETS {
-            let Ok(model) = IlpModel::build(inst.clone(), config.clone()) else {
-                continue;
-            };
+            let (model, ..) = build_model(&g1(3, 1, RuleKind::Paper, limit))
+                .map_err(|e| format!("resilience: cannot build g1-N3-L1: {e}"))?;
             let mip = MipOptions {
                 time_limit_secs: limit,
                 max_lp_iterations: budget,
                 threads: 1,
                 ..MipOptions::default()
             };
+            let started = std::time::Instant::now();
             let out = match model.solve(&SolveOptions {
                 mip,
                 rule: RuleKind::Paper,
@@ -973,69 +748,30 @@ fn resilience(limit: f64) {
                     continue;
                 }
             };
-            let budget_label = if budget == usize::MAX {
-                "inf".to_string()
-            } else {
-                budget.to_string()
-            };
+            let wall = started.elapsed().as_secs_f64();
+            let budget = (budget != usize::MAX).then_some(budget as u64);
             let cost = out.solution.as_ref().map(|s| s.communication_cost());
-            let gap_label = if out.gap.is_finite() {
-                format!("{:.1}", out.gap)
-            } else {
-                "inf".to_string()
-            };
-            println!(
-                "{:<10} {:>6} {:>11} {:>9} {:>6} {:>9} {:>7} {:>9}",
-                budget_label,
-                seed_incumbent,
-                out.status.as_str(),
-                out.source.as_str(),
-                cost.map_or("-".to_string(), |c| c.to_string()),
-                gap_label,
-                out.stats.nodes,
-                out.stats.lp_iterations,
+            let mut o = JsonObject::new();
+            o.str("instance", "g1-N3-L1")
+                .opt_uint("lp_budget", budget)
+                .bool("seeded", seed_incumbent)
+                .str("status", out.status.as_str())
+                .str("source", out.source.as_str())
+                .opt_uint("cost", cost)
+                .num("objective", out.objective)
+                .num("gap", out.gap)
+                .num("best_bound", out.best_bound)
+                .num("wall_ms", ms(wall))
+                .stats(out.stats.stats());
+            art.row(
+                &o,
+                "lp_budget seeded status source cost gap nodes lp_iterations",
             );
-            json_rows.push(format!(
-                "  {{\"instance\": \"g1-N3-L1\", \"lp_budget\": {}, \"seeded\": {}, \
-                 \"status\": \"{}\", \"source\": \"{}\", \"cost\": {}, \
-                 \"objective\": {}, \"gap\": {}, \"best_bound\": {}, \
-                 \"nodes\": {}, \"lp_iterations\": {}, \"wall_ms\": {:.3}}}",
-                if budget == usize::MAX {
-                    "null".to_string()
-                } else {
-                    budget.to_string()
-                },
-                seed_incumbent,
-                out.status.as_str(),
-                out.source.as_str(),
-                cost.map_or("null".to_string(), |c| c.to_string()),
-                if out.objective.is_finite() {
-                    format!("{}", out.objective)
-                } else {
-                    "null".to_string()
-                },
-                if out.gap.is_finite() {
-                    format!("{}", out.gap)
-                } else {
-                    "null".to_string()
-                },
-                if out.best_bound.is_finite() {
-                    format!("{}", out.best_bound)
-                } else {
-                    "null".to_string()
-                },
-                out.stats.nodes,
-                out.stats.lp_iterations,
-                out.stats.seconds * 1e3,
-            ));
         }
     }
-    let json = format!("[\n{}\n]\n", json_rows.join(",\n"));
-    match std::fs::write("BENCH_resilience.json", &json) {
-        Ok(()) => println!("wrote BENCH_resilience.json ({} rows)", json_rows.len()),
-        Err(e) => eprintln!("cannot write BENCH_resilience.json: {e}"),
-    }
+    let written = art.write("BENCH_resilience.json");
     println!();
+    written
 }
 
 /// Scale-layer study: the flagship unguided row (graph 1, N=3, L=1,
@@ -1045,9 +781,8 @@ fn resilience(limit: f64) {
 /// (cost 13); the headline acceptance bar is the full stack exploring at
 /// most 70% of the baseline's nodes. `smoke` runs only the baseline and
 /// the full stack (the budgeted CI variant). Results go to stdout and
-/// `BENCH_scale.json` (written via `BENCH_scale.json.tmp` and renamed, so
-/// an interrupted run never leaves a truncated artifact).
-fn scale(limit: f64, smoke: bool) {
+/// `BENCH_scale.json`.
+fn scale(limit: f64, smoke: bool) -> Result<(), String> {
     type Variant = (&'static str, bool, bool, Branching);
     let all: [Variant; 5] = [
         ("baseline", false, false, Branching::Rule),
@@ -1056,40 +791,22 @@ fn scale(limit: f64, smoke: bool) {
         ("pseudocost", false, false, Branching::Pseudocost),
         ("full-stack", true, true, Branching::Pseudocost),
     ];
-    let variants: Vec<Variant> = if smoke {
-        all.iter()
-            .copied()
-            .filter(|&(name, ..)| name == "baseline" || name == "full-stack")
-            .collect()
-    } else {
-        all.to_vec()
-    };
     println!(
         "Scale layer: g1-N3-L1 unguided under the scale stack{}",
         if smoke { " (smoke)" } else { "" }
     );
-    println!(
-        "{:<12} {:>9} {:>7} {:>9} {:>5} {:>6} {:>5} {:>5} {:>7}",
-        "variant", "wall(ms)", "nodes", "lp-iters", "cost", "cuts", "prop", "sb", "vs-base"
-    );
-    let mut json_rows: Vec<String> = Vec::new();
+    let mut art = Artifact::default();
     let mut baseline: Option<(usize, Option<u64>)> = None;
     let mut full: Option<(usize, Option<u64>)> = None;
-    for (name, cuts, propagate, branching) in variants {
+    for (name, cuts, propagate, branching) in all {
+        if smoke && name != "baseline" && name != "full-stack" {
+            continue;
+        }
         let cfg = RowConfig {
-            graph_no: 1,
-            ams: (2, 2, 1),
-            config: ModelConfig::tightened(3, 1),
-            rule: RuleKind::FirstIndex,
-            time_limit_secs: limit,
-            device: date98_device(),
-            seed_incumbent: false,
-            threads: 1,
-            profile: false,
             cuts,
             propagate,
             branching,
-            scale: 1,
+            ..g1(3, 1, RuleKind::FirstIndex, limit)
         };
         let row = match run_row(&cfg) {
             Ok(r) => r,
@@ -1098,91 +815,49 @@ fn scale(limit: f64, smoke: bool) {
                 continue;
             }
         };
-        let wall_ms = row.seconds * 1e3;
         if name == "baseline" {
-            baseline = Some((row.nodes, row.cost));
+            baseline = Some((row.stats.nodes, row.cost));
         }
         if name == "full-stack" {
-            full = Some((row.nodes, row.cost));
+            full = Some((row.stats.nodes, row.cost));
         }
         let vs_base = baseline
             .filter(|&(b, _)| b > 0)
-            .map(|(b, _)| row.nodes as f64 / b as f64);
-        let s = row.stats.scale;
-        println!(
-            "{:<12} {:>9.1} {:>7} {:>9} {:>5} {:>6} {:>5} {:>5} {:>7}",
-            name,
-            wall_ms,
-            row.nodes,
-            row.lp_iterations,
-            row.cost.map_or("-".to_string(), |c| c.to_string()),
-            s.cuts_applied,
-            s.propagation_fixings + s.propagation_infeasible,
-            s.strong_branch_solves,
-            vs_base.map_or("-".to_string(), |r| format!("{:.0}%", r * 100.0)),
+            .map(|(b, _)| row.stats.nodes as f64 / b as f64);
+        let mut o = JsonObject::new();
+        o.str("variant", name)
+            .str("instance", "g1-N3-L1-unguided")
+            .bool("cuts", cuts)
+            .bool("propagate", propagate)
+            .str("branching", branching.as_str())
+            .num("nodes_vs_baseline", vs_base.map_or(f64::NAN, r3));
+        row.write_json(&mut o);
+        art.row(
+            &o, "variant wall_ms nodes lp_iterations cost cuts_applied propagation_fixings strong_branch_solves nodes_vs_baseline",
         );
-        json_rows.push(format!(
-            "  {{\"variant\": \"{name}\", \"instance\": \"g1-N3-L1-unguided\", \
-             \"cuts\": {cuts}, \"propagate\": {propagate}, \
-             \"branching\": \"{}\", \"wall_ms\": {:.3}, \"nodes\": {}, \
-             \"lp_iterations\": {}, \"cost\": {}, \
-             \"cuts_separated\": {}, \"cuts_applied\": {}, \"cut_rounds\": {}, \
-             \"propagation_fixings\": {}, \"propagation_infeasible\": {}, \
-             \"pseudocost_updates\": {}, \"strong_branch_solves\": {}, \
-             \"nodes_vs_baseline\": {}}}",
-            branching.as_str(),
-            wall_ms,
-            row.nodes,
-            row.lp_iterations,
-            row.cost.map_or("null".to_string(), |c| c.to_string()),
-            s.cuts_separated,
-            s.cuts_applied,
-            s.cut_rounds,
-            s.propagation_fixings,
-            s.propagation_infeasible,
-            s.pseudocost_updates,
-            s.strong_branch_solves,
-            vs_base.map_or("null".to_string(), |r| format!("{r:.4}")),
-        ));
     }
-    // Pinned acceptance bar: the full stack proves the same optimum
-    // (cost 13) in at most 70% of the baseline's nodes.
-    let bar = match (baseline, full) {
+    // The bar: the full stack proves the same optimum (cost 13) in at most
+    // 70% of the baseline's nodes.
+    match (baseline, full) {
         (Some((base_nodes, base_cost)), Some((full_nodes, full_cost))) if base_nodes > 0 => {
             let ratio = full_nodes as f64 / base_nodes as f64;
-            let pass = base_cost == Some(13) && full_cost == Some(13) && ratio <= 0.70;
-            println!(
-                "acceptance [{}]: full stack {} nodes vs baseline {} ({:.0}% — bar ≤70%), \
-                 cost {} vs {}",
-                if pass { "PASS" } else { "FAIL" },
-                full_nodes,
-                base_nodes,
-                ratio * 100.0,
-                full_cost.map_or("-".to_string(), |c| c.to_string()),
-                base_cost.map_or("-".to_string(), |c| c.to_string()),
+            art.bar(
+                "full_stack_nodes_le_0.70_of_baseline_at_cost_13",
+                base_cost == Some(13) && full_cost == Some(13) && ratio <= 0.70,
+                JsonObject::new()
+                    .str("instance", "g1-N3-L1-unguided")
+                    .uint("baseline_nodes", base_nodes as u64)
+                    .uint("full_stack_nodes", full_nodes as u64)
+                    .num("node_ratio", r3(ratio))
+                    .opt_uint("baseline_cost", base_cost)
+                    .opt_uint("full_stack_cost", full_cost),
             );
-            format!(
-                "  {{\"acceptance\": \"full_stack_nodes_le_0.70_of_baseline_at_cost_13\", \
-                 \"instance\": \"g1-N3-L1-unguided\", \"baseline_nodes\": {base_nodes}, \
-                 \"full_stack_nodes\": {full_nodes}, \"node_ratio\": {ratio:.4}, \
-                 \"baseline_cost\": {}, \"full_stack_cost\": {}, \"pass\": {pass}}}",
-                base_cost.map_or("null".to_string(), |c| c.to_string()),
-                full_cost.map_or("null".to_string(), |c| c.to_string()),
-            )
         }
-        _ => "  {\"acceptance\": \"missing-scale-rows\", \"pass\": false}".to_string(),
-    };
-    json_rows.push(bar);
-    let json = format!("[\n{}\n]\n", json_rows.join(",\n"));
-    // Write-then-rename: the .tmp path is gitignored, and a crash mid-write
-    // cannot corrupt the committed artifact.
-    let write = std::fs::write("BENCH_scale.json.tmp", &json)
-        .and_then(|()| std::fs::rename("BENCH_scale.json.tmp", "BENCH_scale.json"));
-    match write {
-        Ok(()) => println!("wrote BENCH_scale.json ({} rows)", json_rows.len()),
-        Err(e) => eprintln!("cannot write BENCH_scale.json: {e}"),
+        _ => art.bar("missing-scale-rows", false, &JsonObject::new()),
     }
+    let written = art.write("BENCH_scale.json");
     println!();
+    written
 }
 
 /// Service-layer study: delegates to the `service-bench` load generator in
@@ -1192,7 +867,7 @@ fn scale(limit: f64, smoke: bool) {
 /// subprocess because the audit tool's default feature already closes the
 /// package chain audit → bench, so this crate can depend on neither cli
 /// nor server.
-fn service(limit: f64) {
+fn service(limit: f64) -> Result<(), String> {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     let status = std::process::Command::new(cargo)
         .args([
@@ -1208,12 +883,12 @@ fn service(limit: f64) {
         ])
         .arg(limit.to_string())
         .status();
-    match status {
-        Ok(s) if s.success() => {}
-        Ok(s) => eprintln!("service-bench failed: {s}"),
-        Err(e) => eprintln!("cannot launch service-bench: {e}"),
-    }
     println!();
+    match status {
+        Ok(s) if s.success() => Ok(()),
+        Ok(s) => Err(format!("service-bench failed: {s}")),
+        Err(e) => Err(format!("cannot launch service-bench: {e}")),
+    }
 }
 
 /// Model-checker exploration statistics: run every lp scenario under full
@@ -1224,11 +899,12 @@ fn service(limit: f64) {
 /// zero truncated runs: the state space of the production primitive stays
 /// finite and coverable as the code evolves.
 #[cfg(feature = "race")]
-fn race() {
+fn race() -> Result<(), String> {
     use tempart_lp::race_models;
     use tempart_race::explore::{Config, Report};
 
-    let scenarios: [(&str, fn(Config) -> Report); 4] = [
+    type Scenario = (&'static str, fn(Config) -> Report);
+    let scenarios: [Scenario; 4] = [
         ("deque_no_lost_items", race_models::deque_no_lost_items),
         ("seqlock_keeps_minimum", race_models::seqlock_keeps_minimum),
         ("rendezvous_terminates", race_models::rendezvous_terminates),
@@ -1238,62 +914,47 @@ fn race() {
         ),
     ];
     println!("race: full-DPOR exploration of the lock-free core models");
-    println!(
-        "{:<28} {:>10} {:>8} {:>9} {:>12} {:>9}  verdict",
-        "model", "schedules", "pruned", "truncated", "transitions", "max-depth"
-    );
-    let mut rows = Vec::new();
-    let mut failed = false;
+    let mut art = Artifact::default();
+    let mut unclean = Vec::new();
     for (name, f) in scenarios {
         let start = std::time::Instant::now();
         let r = f(Config::full());
         let secs = start.elapsed().as_secs_f64();
         let clean = r.violation.is_none() && r.truncated == 0 && !r.exhausted;
-        let verdict = match &r.violation {
-            Some(v) => format!("VIOLATION: {v}"),
-            None if r.exhausted => "EXHAUSTED (budget too small)".to_string(),
-            None if r.truncated > 0 => "TRUNCATED (step cap hit)".to_string(),
-            None => "ok".to_string(),
-        };
-        println!(
-            "{:<28} {:>10} {:>8} {:>9} {:>12} {:>9}  {}",
-            name, r.schedules, r.pruned, r.truncated, r.transitions, r.max_depth, verdict
+        if let Some(v) = &r.violation {
+            eprintln!("race: {name}: VIOLATION: {v}");
+        }
+        art.row(
+            JsonObject::new()
+                .str("model", name)
+                .str("mode", "full-dpor")
+                .uint("schedules", r.schedules as u64)
+                .uint("pruned", r.pruned as u64)
+                .uint("truncated", r.truncated as u64)
+                .uint("transitions", r.transitions as u64)
+                .uint("max_depth", r.max_depth as u64)
+                .num("wall_ms", ms(secs))
+                .bool("exhausted", r.exhausted)
+                .bool("clean", clean),
+            "model schedules pruned truncated max_depth exhausted clean",
         );
-        rows.push(format!(
-            "    {{\"model\": \"{name}\", \"schedules\": {}, \"pruned\": {}, \
-             \"truncated\": {}, \"transitions\": {}, \"max_depth\": {}, \
-             \"seconds\": {secs:.3}, \"clean\": {clean}}}",
-            r.schedules, r.pruned, r.truncated, r.transitions, r.max_depth
-        ));
         if !clean {
-            failed = true;
+            unclean.push(name);
         }
     }
-    let json = format!(
-        "{{\n  \"mode\": \"full-dpor\",\n  \"models\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
+    art.bar(
+        "full_dpor_covers_every_model",
+        unclean.is_empty(),
+        JsonObject::new().uint("models", scenarios.len() as u64),
     );
-    match std::fs::write("BENCH_race.json", &json) {
-        Ok(()) => println!("wrote BENCH_race.json ({} models)", scenarios.len()),
-        Err(e) => eprintln!("cannot write BENCH_race.json: {e}"),
-    }
+    let written = art.write("BENCH_race.json");
     println!();
-    if failed {
-        eprintln!("race: a model missed the full-coverage acceptance bar");
-        std::process::exit(1);
-    }
+    written
 }
 
 #[cfg(not(feature = "race"))]
-fn race() {
-    eprintln!(
-        "the `race` experiment needs the model-checker build:\n  \
+fn race() -> Result<(), String> {
+    Err("the `race` experiment needs the model-checker build:\n  \
          cargo run --release -p tempart-bench --features race --bin tables -- race"
-    );
+        .to_string())
 }
-
-// The WForm import is used indirectly through ModelConfig::basic; keep the
-// symbol referenced so the harness fails to compile if the variant set
-// changes under it.
-#[allow(dead_code)]
-const _: WForm = WForm::PerProduct;

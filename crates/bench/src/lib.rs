@@ -20,4 +20,4 @@ pub mod report;
 pub mod runner;
 
 pub use graphs::{date98_device, date98_instance, date98_scaled_instance, paper_graph, GraphSpec};
-pub use runner::{run_row, ExperimentRow, RowConfig};
+pub use runner::{build_model, host_cpus, run_row, ExperimentRow, RowConfig};

@@ -4,7 +4,8 @@ use std::time::Instant;
 
 use tempart_core::{CoreError, IlpModel, ModelConfig, RuleKind, SolveOptions};
 use tempart_graph::FpgaDevice;
-use tempart_lp::{Branching, MipOptions, MipStats, MipStatus};
+use tempart_lp::stats::ms;
+use tempart_lp::{Branching, JsonObject, MipOptions, MipStats, MipStatus};
 
 use crate::graphs::{date98_instance, date98_scaled_instance};
 
@@ -52,6 +53,35 @@ pub struct RowConfig {
     pub scale: usize,
 }
 
+impl RowConfig {
+    /// A faithful serial row: the date98 device, unseeded, one worker, no
+    /// profiling, the scale layer off, the paper graph itself. Studies
+    /// change the fields they sweep with struct-update syntax.
+    pub fn paper(
+        graph_no: usize,
+        ams: (u32, u32, u32),
+        config: ModelConfig,
+        rule: RuleKind,
+        time_limit_secs: f64,
+    ) -> Self {
+        RowConfig {
+            graph_no,
+            ams,
+            config,
+            rule,
+            time_limit_secs,
+            device: crate::graphs::date98_device(),
+            seed_incumbent: false,
+            threads: 1,
+            profile: false,
+            cuts: false,
+            propagate: false,
+            branching: Branching::Rule,
+            scale: 1,
+        }
+    }
+}
+
 /// Result of one experiment row, mirroring the paper's table columns.
 #[derive(Debug, Clone)]
 pub struct ExperimentRow {
@@ -85,15 +115,12 @@ pub struct ExperimentRow {
     pub cost: Option<u64>,
     /// Partitions actually used by the reported solution.
     pub partitions_used: Option<u32>,
-    /// Branch-and-bound nodes explored.
-    pub nodes: usize,
-    /// Total simplex iterations.
-    pub lp_iterations: usize,
     /// Branching rule used.
     pub rule: RuleKind,
-    /// Full solver statistics: the merged simplex profile (timers populated
-    /// only when [`RowConfig::profile`] was set), the parallel scheduler's
-    /// contention counters, and per-worker node/busy-time vectors.
+    /// Full solver statistics: nodes and pivots, the merged simplex profile
+    /// (timers populated only when [`RowConfig::profile`] was set), the
+    /// parallel scheduler's contention counters, and per-worker
+    /// node/busy-time vectors.
     pub stats: MipStats,
 }
 
@@ -113,16 +140,21 @@ impl ExperimentRow {
     /// on a single CPU, and *drops* with effective parallelism, making it
     /// the right axis for speedup comparisons.
     pub fn node_wall_us(&self) -> f64 {
-        self.seconds * 1e6 / self.nodes.max(1) as f64
+        self.seconds * 1e6 / self.stats.nodes.max(1) as f64
     }
 
-    /// Mean LP microseconds per node with LP time *summed across workers*
-    /// (the always-on `lp_secs` of the merged simplex profile). On an
-    /// oversubscribed host this aggregate grows with thread count even at
-    /// fixed per-node cost — it measures total CPU work, not latency; use
-    /// [`ExperimentRow::node_wall_us`] for per-node latency.
-    pub fn aggregate_lp_us_per_node(&self) -> f64 {
-        self.stats.simplex.lp_secs * 1e6 / self.nodes.max(1) as f64
+    /// Appends the row's measurements to a `BENCH_*.json` row: wall clock,
+    /// cost, host and instance size, then every solver stat of the shared
+    /// schema ([`MipStats::stats`]).
+    pub fn write_json(&self, o: &mut JsonObject) {
+        o.num("wall_ms", ms(self.seconds))
+            .opt_uint("cost", self.cost)
+            .uint("host_cpus", host_cpus() as u64)
+            .uint("ops", self.opers as u64)
+            .uint("rows", self.consts as u64)
+            .uint("cols", self.vars as u64)
+            .uint("nnz", self.nnz as u64)
+            .stats(self.stats.stats());
     }
 
     /// `Yes`/`No`/`?` feasibility column.
@@ -135,13 +167,19 @@ impl ExperimentRow {
     }
 }
 
-/// Builds and solves one row.
+/// CPUs available to this process: it caps any parallel speedup, so every
+/// bench row records it.
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
+/// Builds a row's instance and model: the model, the graph's task and
+/// operation counts, and the constraint-matrix nonzeros.
 ///
 /// # Errors
 ///
-/// Propagates model-building and solver errors; a time limit is *not* an
-/// error (reported via [`ExperimentRow::timed_out`]).
-pub fn run_row(cfg: &RowConfig) -> Result<ExperimentRow, CoreError> {
+/// Propagates instance and model-building errors.
+pub fn build_model(cfg: &RowConfig) -> Result<(IlpModel, usize, usize, usize), CoreError> {
     let (a, m, s) = cfg.ams;
     let instance = if cfg.scale > 1 {
         date98_scaled_instance(cfg.graph_no, cfg.scale, a, m, s, cfg.device.clone())?
@@ -150,12 +188,23 @@ pub fn run_row(cfg: &RowConfig) -> Result<ExperimentRow, CoreError> {
     };
     let (tasks, opers) = (instance.graph().num_tasks(), instance.graph().num_ops());
     let model = IlpModel::build(instance, cfg.config.clone())?;
-    let stats = model.stats().clone();
     let nnz = model
         .problem()
         .rows_for_export()
         .map(|r| r.coeffs.len())
         .sum();
+    Ok((model, tasks, opers, nnz))
+}
+
+/// Builds and solves one row.
+///
+/// # Errors
+///
+/// Propagates model-building and solver errors; a time limit is *not* an
+/// error (reported via [`ExperimentRow::timed_out`]).
+pub fn run_row(cfg: &RowConfig) -> Result<ExperimentRow, CoreError> {
+    let (model, tasks, opers, nnz) = build_model(cfg)?;
+    let stats = model.stats().clone();
     let mut mip = MipOptions {
         time_limit_secs: cfg.time_limit_secs,
         threads: cfg.threads,
@@ -205,8 +254,6 @@ pub fn run_row(cfg: &RowConfig) -> Result<ExperimentRow, CoreError> {
         feasible,
         cost,
         partitions_used,
-        nodes: out.stats.nodes,
-        lp_iterations: out.stats.lp_iterations,
         rule: cfg.rule,
         stats: out.stats,
     })
@@ -215,36 +262,38 @@ pub fn run_row(cfg: &RowConfig) -> Result<ExperimentRow, CoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graphs::date98_device;
 
     #[test]
     fn row_runs_graph1() {
         // Small time budget: this is a smoke test of the row plumbing, not a
         // benchmark; debug-mode solves of graph 1 can take a while.
         let row = run_row(&RowConfig {
-            graph_no: 1,
-            ams: (2, 2, 1),
-            config: ModelConfig::tightened(2, 3),
-            rule: RuleKind::Paper,
-            time_limit_secs: 10.0,
-            device: date98_device(),
             seed_incumbent: true,
-            threads: 1,
-            profile: false,
-            cuts: false,
-            propagate: false,
-            branching: Branching::Rule,
-            scale: 1,
+            ..RowConfig::paper(
+                1,
+                (2, 2, 1),
+                ModelConfig::tightened(2, 3),
+                RuleKind::Paper,
+                10.0,
+            )
         })
         .unwrap();
         assert_eq!(row.tasks, 5);
         assert_eq!(row.opers, 22);
         assert!(row.vars > 0 && row.consts > 0);
-        assert!(row.nodes >= 1);
+        assert!(row.stats.nodes >= 1);
         if !row.timed_out {
             assert!(row.feasible.is_some());
         }
         assert!(!row.runtime_display(120.0).is_empty());
         assert!(!row.feasible_display().is_empty());
+        let mut o = JsonObject::new();
+        row.write_json(&mut o);
+        let json = o.finish();
+        assert!(json.starts_with("{\"wall_ms\":"), "{json}");
+        assert!(
+            json.contains(&format!(",\"nodes\":{},", row.stats.nodes)),
+            "{json}"
+        );
     }
 }

@@ -24,8 +24,9 @@
 //! so far is reported together with its proven optimality gap, and when the
 //! search has no incumbent yet the Figure-2 list-scheduling heuristic
 //! solution is reported instead (`source: heuristic`). `--json` prints a
-//! machine-readable summary (`status`, `gap`, `source`, `objective`,
-//! `nodes`) instead of the human-readable report.
+//! one-line machine-readable summary instead of the human-readable
+//! report: `status`, `gap`, `source`, `objective`, then every solver stat
+//! of the shared schema (`nodes` first; see `tempart_lp::stats`).
 //!
 //! `--faults PLAN` injects deterministic solver faults
 //! (`site@occurrence[,...]`, sites `singular|itercap|panic|skew`) to
@@ -38,8 +39,9 @@
 //! a hard error (nonzero exit), independent of the float simplex's own
 //! account of the solve.
 //!
-//! `--stats` enables the solver profiling layer and prints a per-phase
-//! simplex time/count breakdown after the solve.
+//! `--stats` enables the solver profiling layer and prints the same
+//! schema after the solve, one line per group (search, simplex,
+//! contention, scale), with the per-phase simplex timers filled in.
 //!
 //! `--scale K` replicates the specification's task graph `K` times,
 //! chaining each copy's sink tasks to the next copy's sources
@@ -52,8 +54,9 @@
 //! separation (cut-and-branch), `--propagate` turns on node bound
 //! propagation, and `--branching pseudocost` switches variable selection to
 //! pseudo-cost branching with strong-branching reliability initialization.
-//! Every combination proves the same optimum; `--stats` prints the scale
-//! counters (cuts, fixings, pseudo-cost updates) when any feature fired.
+//! Every combination proves the same optimum; the scale counters (cuts,
+//! fixings, pseudo-cost updates) are part of the `--stats`/`--json`
+//! schema.
 //!
 //! * `solve` — run the full Figure-2 pipeline and print the optimal
 //!   partitioning, schedule, and solver statistics.
@@ -74,7 +77,8 @@ use tempart_core::{
 };
 use tempart_graph::{scale_task_graph, task_graph_to_dot};
 use tempart_hls::{estimate_partitions, render_gantt, Mobility};
-use tempart_lp::{Branching, FaultPlan, MipOptions, MipStatus};
+use tempart_lp::stats::text;
+use tempart_lp::{Branching, FaultPlan, JsonObject, MipOptions, MipStats, MipStatus};
 use tempart_sim::execute;
 
 /// Graceful Ctrl-C (`solve`/`simulate` only): the first SIGINT trips the
@@ -238,53 +242,33 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// One-line machine-readable solve summary (`--json`). Non-finite gaps
-/// become `null` — JSON has no Infinity literal.
+/// One-line machine-readable solve summary (`--json`): the answer, then
+/// every solver stat of the shared schema. Non-finite numbers become
+/// `null` — JSON has no Infinity literal.
 fn json_summary(
     status: MipStatus,
     gap: f64,
     source: SolutionSource,
     objective: f64,
-    stats: &tempart_lp::MipStats,
+    stats: &MipStats,
 ) -> String {
-    let gap = if gap.is_finite() {
-        format!("{gap}")
-    } else {
-        "null".to_string()
-    };
-    let objective = if objective.is_finite() {
-        format!("{objective}")
-    } else {
-        "null".to_string()
-    };
-    // The scale block only appears when a scale feature fired, so the
-    // features-off summary stays byte-identical to the pinned shape.
-    let scale = if stats.scale.is_empty() {
-        String::new()
-    } else {
-        let s = &stats.scale;
-        format!(
-            ",\"scale\":{{\"cuts_separated\":{},\"cuts_applied\":{},\"cut_rounds\":{},\
-             \"propagation_fixings\":{},\"propagation_infeasible\":{},\
-             \"pseudocost_updates\":{},\"strong_branch_solves\":{}}}",
-            s.cuts_separated,
-            s.cuts_applied,
-            s.cut_rounds,
-            s.propagation_fixings,
-            s.propagation_infeasible,
-            s.pseudocost_updates,
-            s.strong_branch_solves,
-        )
-    };
-    format!(
-        "{{\"status\":\"{}\",\"gap\":{},\"source\":\"{}\",\"objective\":{},\"nodes\":{}{}}}",
-        status.as_str(),
-        gap,
-        source.as_str(),
-        objective,
-        stats.nodes,
-        scale
-    )
+    JsonObject::new()
+        .str("status", status.as_str())
+        .num("gap", gap)
+        .str("source", source.as_str())
+        .num("objective", objective)
+        .stats(stats.stats())
+        .finish()
+}
+
+/// The `--stats` block: one line per schema group.
+fn stats_block(stats: &MipStats) -> String {
+    stats
+        .stat_groups()
+        .iter()
+        .map(|(group, s)| format!("{group}: {}", text(s)))
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 /// Re-verifies a solver claim with the exact certificate checker
@@ -436,47 +420,43 @@ fn run() -> Result<(), String> {
                 rule: RuleKind::Paper,
                 seed_incumbent: true,
             };
+            // Side notes go to stderr under `--json`, keeping stdout pure
+            // JSON.
+            let note = |line: &str| {
+                if args.json {
+                    eprintln!("{line}");
+                } else {
+                    println!("{line}");
+                }
+            };
             let (solution, config) = match (args.partitions, args.latency) {
                 (Some(n), l) => {
                     let config = ModelConfig::tightened(n, l.unwrap_or(0));
                     let model =
                         IlpModel::build(inst.clone(), config.clone()).map_err(|e| e.to_string())?;
-                    if args.json {
-                        let out = model.solve(&solve).map_err(|e| e.to_string())?;
-                        if args.certify {
-                            // Validate hard, but keep stdout pure JSON.
-                            let line = certify_claim(
-                                model.problem(),
-                                &out.raw_x,
-                                out.objective,
-                                out.best_bound,
-                                out.status,
-                            )?;
-                            eprintln!("{line}");
-                        }
-                        println!(
-                            "{}",
-                            json_summary(
-                                out.status,
-                                out.gap,
-                                out.source,
-                                out.objective,
-                                &out.stats
-                            )
-                        );
-                        return Ok(());
+                    if !args.json {
+                        println!("model: {}", model.stats());
                     }
-                    println!("model: {}", model.stats());
                     let out = model.solve(&solve).map_err(|e| e.to_string())?;
                     if args.certify {
-                        let line = certify_claim(
+                        note(&certify_claim(
                             model.problem(),
                             &out.raw_x,
                             out.objective,
                             out.best_bound,
                             out.status,
-                        )?;
-                        println!("{line}");
+                        )?);
+                    }
+                    if args.json {
+                        let summary = json_summary(
+                            out.status,
+                            out.gap,
+                            out.source,
+                            out.objective,
+                            &out.stats,
+                        );
+                        println!("{summary}");
+                        return Ok(());
                     }
                     println!(
                         "status: {}; {} nodes, {} LP iterations, {:.2}s",
@@ -500,14 +480,11 @@ fn run() -> Result<(), String> {
                         println!(
                             "workers: {:?} nodes; {}",
                             out.stats.per_worker_nodes,
-                            out.stats.contention.report()
+                            text(&out.stats.contention.stats())
                         );
                     }
                     if args.stats {
-                        println!("{}", out.stats.simplex.report());
-                        if !out.stats.scale.is_empty() {
-                            println!("{}", out.stats.scale.report());
-                        }
+                        println!("{}", stats_block(&out.stats));
                     }
                     (out.solution.ok_or("no feasible partitioning")?, config)
                 }
@@ -530,18 +507,13 @@ fn run() -> Result<(), String> {
                         // so the Problem matches the raw incumbent.
                         let model = IlpModel::build(inst.clone(), result.config().clone())
                             .map_err(|e| e.to_string())?;
-                        let line = certify_claim(
+                        note(&certify_claim(
                             model.problem(),
                             result.raw_x(),
                             result.objective(),
                             result.best_bound(),
                             result.status(),
-                        )?;
-                        if args.json {
-                            eprintln!("{line}");
-                        } else {
-                            println!("{line}");
-                        }
+                        )?);
                     }
                     if args.json {
                         println!(
@@ -571,10 +543,7 @@ fn run() -> Result<(), String> {
                         );
                     }
                     if args.stats {
-                        println!("{}", result.mip_stats().simplex.report());
-                        if !result.mip_stats().scale.is_empty() {
-                            println!("{}", result.mip_stats().scale.report());
-                        }
+                        println!("{}", stats_block(result.mip_stats()));
                     }
                     let cfg = result.config().clone();
                     (result.solution().clone(), cfg)

@@ -1,5 +1,6 @@
-//! Minimal JSON reader/writer for specification files and the
-//! `tempart-server` wire protocol.
+//! Minimal JSON reader for specification files and the `tempart-server`
+//! wire protocol. Writing goes through the one compact writer in
+//! `tempart_lp::stats` ([`JsonObject`](tempart_lp::JsonObject)).
 //!
 //! The build environment pins the workspace to vendored dependency shims,
 //! so the CLI parses its (small, fixed-shape) specification format with a
@@ -12,8 +13,6 @@
 //! [`MAX_DEPTH`] so `[[[[…` cannot overflow the stack, inputs larger than
 //! [`MAX_INPUT_BYTES`] are rejected up front, and every malformed byte
 //! sequence returns a truthful `Err` — no input panics.
-
-use std::fmt::Write as _;
 
 /// Maximum nesting depth (arrays + objects combined) the parser accepts.
 /// Recursion is one stack frame per level, so this bounds stack use on
@@ -332,80 +331,11 @@ impl Parser<'_> {
     }
 }
 
-/// Appends `s` to `out` as a quoted, escaped JSON string.
-pub fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Formats a float the way serde_json does: integral values get a `.0`
-/// suffix so they survive a round-trip as the same token class.
-pub fn write_f64(out: &mut String, v: f64) {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        let _ = write!(out, "{v:.1}");
-    } else {
-        let _ = write!(out, "{v}");
-    }
-}
-
-/// Appends `v` to `out` as compact JSON. Non-finite numbers serialize as
-/// `null` (JSON has no NaN/∞ tokens), matching the CLI's `--json` output
-/// convention.
-pub fn write_value(out: &mut String, v: &Value) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Num(n) if n.is_finite() => write_f64(out, *n),
-        Value::Num(_) => out.push_str("null"),
-        Value::Str(s) => write_escaped(out, s),
-        Value::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(out, item);
-            }
-            out.push(']');
-        }
-        Value::Obj(fields) => {
-            out.push('{');
-            for (i, (k, val)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_escaped(out, k);
-                out.push(':');
-                write_value(out, val);
-            }
-            out.push('}');
-        }
-    }
-}
-
-/// Serializes a value to a compact JSON string (see [`write_value`]).
-pub fn to_string(v: &Value) -> String {
-    let mut out = String::new();
-    write_value(&mut out, v);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tempart_lp::stats::write_escaped;
+    use tempart_lp::JsonObject;
 
     #[test]
     fn parses_nested_document() {
@@ -470,22 +400,17 @@ mod tests {
 
     #[test]
     fn value_writer_round_trips() {
-        let v = Value::Obj(vec![
-            ("s".into(), Value::Str("x\n\"😀".into())),
-            (
-                "a".into(),
-                Value::Arr(vec![Value::Num(1.0), Value::Num(-2.5), Value::Null]),
-            ),
-            ("b".into(), Value::Bool(true)),
-            ("nan".into(), Value::Num(f64::NAN)),
-        ]);
-        let text = to_string(&v);
+        let mut o = JsonObject::new();
+        o.str("s", "x\n\"😀")
+            .nums("a", &[1.0, -2.5, f64::NAN])
+            .bool("b", true)
+            .num("nan", f64::NAN);
+        let text = o.finish();
         let back = parse(&text).unwrap();
         assert_eq!(back.get("s").unwrap().as_str(), Some("x\n\"😀"));
-        assert_eq!(
-            back.get("a").unwrap().as_arr().unwrap()[1].as_f64(),
-            Some(-2.5)
-        );
+        let a = back.get("a").unwrap().as_arr().unwrap();
+        assert_eq!(a[1].as_f64(), Some(-2.5));
+        assert_eq!(a[2], Value::Null, "NaN degrades to null");
         assert_eq!(back.get("b"), Some(&Value::Bool(true)));
         assert_eq!(back.get("nan"), Some(&Value::Null), "NaN degrades to null");
     }

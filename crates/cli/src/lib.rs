@@ -43,6 +43,7 @@ pub mod json;
 pub mod proto;
 
 use json::Value;
+use tempart_lp::stats::{write_escaped, write_num};
 
 /// One task: named, with operation mnemonics and intra-task dependencies.
 #[derive(Debug, Clone)]
@@ -336,18 +337,18 @@ impl SpecFile {
     pub fn to_json(&self) -> String {
         let mut o = String::new();
         o.push_str("{\n  \"name\": ");
-        json::write_escaped(&mut o, &self.name);
+        write_escaped(&mut o, &self.name);
         o.push_str(",\n  \"tasks\": [");
         for (i, t) in self.tasks.iter().enumerate() {
             o.push_str(if i == 0 { "\n" } else { ",\n" });
             o.push_str("    {\n      \"name\": ");
-            json::write_escaped(&mut o, &t.name);
+            write_escaped(&mut o, &t.name);
             o.push_str(",\n      \"ops\": [");
             for (j, op) in t.ops.iter().enumerate() {
                 if j > 0 {
                     o.push_str(", ");
                 }
-                json::write_escaped(&mut o, op);
+                write_escaped(&mut o, op);
             }
             o.push_str("],\n      \"deps\": [");
             for (j, [a, b]) in t.deps.iter().enumerate() {
@@ -362,27 +363,27 @@ impl SpecFile {
         for (i, e) in self.edges.iter().enumerate() {
             o.push_str(if i == 0 { "\n" } else { ",\n" });
             o.push_str("    { \"from\": ");
-            json::write_escaped(&mut o, &e.from);
+            write_escaped(&mut o, &e.from);
             o.push_str(", \"to\": ");
-            json::write_escaped(&mut o, &e.to);
+            write_escaped(&mut o, &e.to);
             o.push_str(&format!(", \"bandwidth\": {} }}", e.bandwidth));
         }
         o.push_str("\n  ],\n  \"fus\": [");
         for (i, f) in self.fus.iter().enumerate() {
             o.push_str(if i == 0 { "\n" } else { ",\n" });
             o.push_str("    { \"type\": ");
-            json::write_escaped(&mut o, &f.type_name);
+            write_escaped(&mut o, &f.type_name);
             o.push_str(&format!(", \"count\": {} }}", f.count));
         }
         o.push_str("\n  ],\n  \"device\": {\n    \"name\": ");
-        json::write_escaped(&mut o, &self.device.name);
+        write_escaped(&mut o, &self.device.name);
         o.push_str(&format!(",\n    \"capacity\": {}", self.device.capacity));
         o.push_str(&format!(
             ",\n    \"scratch_memory\": {}",
             self.device.scratch_memory
         ));
         o.push_str(",\n    \"alpha\": ");
-        json::write_f64(&mut o, self.device.alpha);
+        write_num(&mut o, self.device.alpha);
         o.push_str(&format!(
             ",\n    \"reconfig_cycles\": {}",
             self.device.reconfig_cycles
@@ -457,6 +458,71 @@ impl SpecFile {
             .memory_word_cycles(self.device.memory_word_cycles)
             .build()?;
         Ok(Instance::new(graph, fus, device)?)
+    }
+
+    /// The specification of an existing instance (its graph, exploration
+    /// set and device), so any generated instance can be saved as a spec
+    /// file or sent to the server. [`SpecFile::build_instance`] rebuilds
+    /// the same model from it.
+    pub fn from_instance(name: impl Into<String>, instance: &Instance) -> Self {
+        let g = instance.graph();
+        let tasks = g
+            .tasks()
+            .iter()
+            .map(|t| {
+                let ids = t.ops();
+                let local = |op| ids.iter().position(|&o| o == op).unwrap_or(usize::MAX);
+                TaskSpec {
+                    name: t.name().to_string(),
+                    ops: ids
+                        .iter()
+                        .map(|&o| g.op(o).kind().mnemonic().to_string())
+                        .collect(),
+                    deps: t
+                        .op_graph()
+                        .edges()
+                        .iter()
+                        .map(|&(a, b)| [local(a), local(b)])
+                        .collect(),
+                }
+            })
+            .collect();
+        let edges = g
+            .task_edges()
+            .iter()
+            .map(|e| EdgeSpec {
+                from: g.task(e.from).name().to_string(),
+                to: g.task(e.to).name().to_string(),
+                bandwidth: e.bandwidth.units(),
+            })
+            .collect();
+        let lib = instance.fus().library();
+        let mut fus: Vec<FuSpec> = Vec::new();
+        for fu in instance.fus().instances() {
+            let type_name = lib.ty(fu.ty()).map_or("?", |t| t.name());
+            match fus.iter_mut().find(|f| f.type_name == type_name) {
+                Some(f) => f.count += 1,
+                None => fus.push(FuSpec {
+                    type_name: type_name.to_string(),
+                    count: 1,
+                }),
+            }
+        }
+        let d = instance.device();
+        SpecFile {
+            name: name.into(),
+            tasks,
+            edges,
+            fus,
+            device: DeviceSpec {
+                name: d.name().to_string(),
+                capacity: d.capacity().0,
+                scratch_memory: d.scratch_memory().units(),
+                alpha: d.alpha().value(),
+                reconfig_cycles: d.reconfig_cycles(),
+                memory_word_cycles: d.memory_word_cycles(),
+            },
+        }
     }
 
     /// A small, fully populated example (the crate-docs specification).
@@ -573,5 +639,13 @@ mod tests {
         assert_eq!(spec.device.memory_word_cycles, 1);
         assert!(spec.edges.is_empty());
         spec.build_instance().unwrap();
+    }
+
+    #[test]
+    fn from_instance_round_trips_the_example() {
+        let spec = SpecFile::example();
+        let instance = spec.build_instance().unwrap();
+        let back = SpecFile::from_instance(spec.name.clone(), &instance);
+        assert_eq!(back.to_json(), spec.to_json());
     }
 }

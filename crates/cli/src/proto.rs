@@ -28,7 +28,7 @@
 //! | `accepted` | job admitted; `job` id echoes in every later frame |
 //! | `rejected` | load shed (queue full) or inadmissible budget — truthful immediate refusal, `reason` says why |
 //! | `progress` | streamed incumbent/bound snapshot for a running job |
-//! | `result` | terminal answer: kebab-case `status`, objective/bound, cost, work counters, `cache` disposition, `requeued` panic-recovery marker |
+//! | `result` | terminal answer: kebab-case `status`, objective/bound, cost, work counters, `cache` disposition, `requeued` panic-recovery marker, and a `stats` object holding the solve's stats in the shared schema (`tempart_lp::stats`) |
 //! | `pong` | ping reply |
 //! | `draining` | shutdown acknowledged |
 //! | `error` | protocol-level failure (malformed frame, unknown type) |
@@ -37,6 +37,8 @@
 //! 2^53, far beyond any realistic solve.
 
 use std::io::{self, Read, Write};
+
+use tempart_lp::JsonObject;
 
 use crate::json::{self, Value};
 use crate::{LoadError, SpecFile};
@@ -191,6 +193,10 @@ pub struct SolveSummary {
     pub requeued: bool,
     /// Wall-clock seconds from admission to terminal status.
     pub seconds: f64,
+    /// The solve's stats in the shared schema
+    /// ([`MipStats::stats`](tempart_lp::MipStats::stats)), in schema
+    /// order; all zero when no solve ran.
+    pub stats: Vec<(String, f64)>,
 }
 
 /// One server→client message.
@@ -235,18 +241,6 @@ pub enum Response {
     },
 }
 
-fn num(v: f64) -> Value {
-    Value::Num(v)
-}
-
-fn opt_num(fields: &mut Vec<(String, Value)>, key: &str, v: Option<f64>) {
-    if let Some(v) = v {
-        if v.is_finite() {
-            fields.push((key.to_string(), num(v)));
-        }
-    }
-}
-
 fn get_f64(v: &Value, key: &str) -> Option<f64> {
     v.get(key).and_then(Value::as_f64)
 }
@@ -266,22 +260,20 @@ fn get_str(v: &Value, key: &str) -> Option<String> {
 impl Request {
     /// Serializes to one JSON payload (frame it with [`write_frame`]).
     pub fn to_json(&self) -> String {
+        let mut o = JsonObject::new();
         match self {
-            Request::Ping => r#"{"type":"ping"}"#.to_string(),
-            Request::Shutdown => r#"{"type":"shutdown"}"#.to_string(),
+            Request::Ping => o.str("type", "ping"),
+            Request::Shutdown => o.str("type", "shutdown"),
             Request::Solve { spec, params } => {
-                let mut out = String::from(r#"{"type":"solve","spec":"#);
                 // `SpecFile::to_json` emits a valid JSON object, so the
                 // pretty text can be spliced directly into the frame.
-                out.push_str(&spec.to_json());
+                o.str("type", "solve").raw("spec", &spec.to_json());
                 if let Some((n, l)) = params.config {
-                    out.push_str(&format!(r#","partitions":{n},"latency_relaxation":{l}"#));
+                    o.uint("partitions", n.into())
+                        .uint("latency_relaxation", l.into());
                 }
-                if let Some(t) = params.time_limit_secs {
-                    if t.is_finite() {
-                        out.push_str(r#","time_limit_secs":"#);
-                        json::write_f64(&mut out, t);
-                    }
+                if let Some(t) = params.time_limit_secs.filter(|t| t.is_finite()) {
+                    o.num("time_limit_secs", t);
                 }
                 for (key, v) in [
                     ("node_limit", params.node_limit),
@@ -289,7 +281,7 @@ impl Request {
                     ("threads", params.threads),
                 ] {
                     if let Some(v) = v {
-                        out.push_str(&format!(r#","{key}":{v}"#));
+                        o.uint(key, v);
                     }
                 }
                 for (key, flag) in [
@@ -299,17 +291,16 @@ impl Request {
                     ("warm_start", params.warm_start),
                 ] {
                     if flag {
-                        out.push_str(&format!(r#","{key}":true"#));
+                        o.bool(key, true);
                     }
                 }
                 if let Some(b) = &params.branching {
-                    out.push_str(r#","branching":"#);
-                    json::write_escaped(&mut out, b);
+                    o.str("branching", b);
                 }
-                out.push('}');
-                out
+                &mut o
             }
         }
+        .finish()
     }
 
     /// Parses one request payload.
@@ -360,56 +351,54 @@ impl Request {
 impl Response {
     /// Serializes to one JSON payload (frame it with [`write_frame`]).
     pub fn to_json(&self) -> String {
-        let mut fields: Vec<(String, Value)> = Vec::new();
-        let tag = |t: &str| ("type".to_string(), Value::Str(t.to_string()));
+        let mut o = JsonObject::new();
+        let finite = |v: &Option<f64>| v.filter(|v| v.is_finite());
         match self {
-            Response::Accepted { job } => {
-                fields.push(tag("accepted"));
-                fields.push(("job".to_string(), num(*job as f64)));
-            }
-            Response::Rejected { reason } => {
-                fields.push(tag("rejected"));
-                fields.push(("reason".to_string(), Value::Str(reason.clone())));
-            }
+            Response::Accepted { job } => o.str("type", "accepted").uint("job", *job),
+            Response::Rejected { reason } => o.str("type", "rejected").str("reason", reason),
             Response::Progress {
                 job,
                 incumbent,
                 bound,
                 updates,
             } => {
-                fields.push(tag("progress"));
-                fields.push(("job".to_string(), num(*job as f64)));
-                opt_num(&mut fields, "incumbent", *incumbent);
-                opt_num(&mut fields, "bound", *bound);
-                fields.push(("updates".to_string(), num(*updates as f64)));
+                o.str("type", "progress").uint("job", *job);
+                if let Some(v) = finite(incumbent) {
+                    o.num("incumbent", v);
+                }
+                if let Some(v) = finite(bound) {
+                    o.num("bound", v);
+                }
+                o.uint("updates", *updates)
             }
             Response::Result { job, summary } => {
-                fields.push(tag("result"));
-                fields.push(("job".to_string(), num(*job as f64)));
-                fields.push(("status".to_string(), Value::Str(summary.status.clone())));
-                opt_num(&mut fields, "objective", summary.objective);
-                opt_num(&mut fields, "best_bound", summary.best_bound);
-                if let Some(c) = summary.cost {
-                    fields.push(("cost".to_string(), num(c as f64)));
+                o.str("type", "result")
+                    .uint("job", *job)
+                    .str("status", &summary.status);
+                if let Some(v) = finite(&summary.objective) {
+                    o.num("objective", v);
                 }
-                fields.push(("nodes".to_string(), num(summary.nodes as f64)));
-                fields.push((
-                    "lp_iterations".to_string(),
-                    num(summary.lp_iterations as f64),
-                ));
-                fields.push(("source".to_string(), Value::Str(summary.source.clone())));
-                fields.push(("cache".to_string(), Value::Str(summary.cache.clone())));
-                fields.push(("requeued".to_string(), Value::Bool(summary.requeued)));
-                fields.push(("seconds".to_string(), num(summary.seconds)));
+                if let Some(v) = finite(&summary.best_bound) {
+                    o.num("best_bound", v);
+                }
+                if let Some(c) = summary.cost {
+                    o.uint("cost", c);
+                }
+                let mut stats = JsonObject::new();
+                stats.stats(summary.stats.iter().map(|(k, v)| (k.as_str(), *v)));
+                o.uint("nodes", summary.nodes)
+                    .uint("lp_iterations", summary.lp_iterations)
+                    .str("source", &summary.source)
+                    .str("cache", &summary.cache)
+                    .bool("requeued", summary.requeued)
+                    .num("seconds", summary.seconds)
+                    .raw("stats", &stats.finish())
             }
-            Response::Pong => fields.push(tag("pong")),
-            Response::Draining => fields.push(tag("draining")),
-            Response::Error { reason } => {
-                fields.push(tag("error"));
-                fields.push(("reason".to_string(), Value::Str(reason.clone())));
-            }
+            Response::Pong => o.str("type", "pong"),
+            Response::Draining => o.str("type", "draining"),
+            Response::Error { reason } => o.str("type", "error").str("reason", reason),
         }
-        json::to_string(&Value::Obj(fields))
+        .finish()
     }
 
     /// Parses one response payload.
@@ -444,6 +433,13 @@ impl Response {
                     cache: get_str(&v, "cache").unwrap_or_default(),
                     requeued: get_bool(&v, "requeued"),
                     seconds: get_f64(&v, "seconds").unwrap_or(0.0),
+                    stats: match v.get("stats") {
+                        Some(Value::Obj(fields)) => fields
+                            .iter()
+                            .filter_map(|(k, v)| Some((k.clone(), v.as_f64()?)))
+                            .collect(),
+                        _ => Vec::new(),
+                    },
                 },
             }),
             Some("pong") => Ok(Response::Pong),
@@ -601,6 +597,7 @@ mod tests {
                     cache: "miss".to_string(),
                     requeued: false,
                     seconds: 1.25,
+                    stats: vec![("nodes".to_string(), 269.0), ("ftran_ms".to_string(), 1.5)],
                 },
             },
             Response::Pong,

@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 use tempart_cli::json::{self, Value};
+use tempart_lp::JsonObject;
 
 /// Tokens biased toward *almost*-JSON: the parser's worst inputs are the
 /// ones that get deep into a production before failing.
@@ -68,22 +69,31 @@ proptest! {
             .enumerate()
             .map(|(i, &p)| format!("{i}-{}", TOKENS[p]))
             .collect();
-        let arr = Value::Arr(
-            nums.iter()
-                .map(|&n| Value::Num(n as f64 / denom as f64))
-                .collect(),
-        );
+        let nums: Vec<f64> = nums.iter().map(|&n| n as f64 / denom as f64).collect();
+        let mut o = JsonObject::new();
+        o.nums("nums", &nums);
+        let arr = Value::Arr(nums.into_iter().map(Value::Num).collect());
         let mut fields: Vec<(String, Value)> = vec![("nums".to_string(), arr)];
         for (i, k) in keys.iter().enumerate() {
+            // Write each field as it is chosen (`null` from a NaN).
             let v = match flags.get(i % flags.len().max(1)) {
-                Some(true) => Value::Bool(true),
-                Some(false) => Value::Str(k.clone()),
-                None => Value::Null,
+                Some(true) => {
+                    o.bool(k, true);
+                    Value::Bool(true)
+                }
+                Some(false) => {
+                    o.str(k, k);
+                    Value::Str(k.clone())
+                }
+                None => {
+                    o.num(k, f64::NAN);
+                    Value::Null
+                }
             };
             fields.push((k.clone(), v));
         }
         let doc = Value::Obj(fields);
-        let text = json::to_string(&doc);
+        let text = o.finish();
         let back = json::parse(&text);
         prop_assert_eq!(back.ok().as_ref(), Some(&doc), "{}", text);
     }

@@ -544,6 +544,13 @@ fn solve_serial(
                     status = MipStatus::Unbounded;
                     break;
                 }
+                LpStatus::IterationLimit => {
+                    // `solve_node_resilient` reports a capped node LP as
+                    // `Err(IterationLimit)` above; treat it the same way.
+                    status = MipStatus::NodeLimit;
+                    stack.push(node);
+                    break;
+                }
                 LpStatus::Optimal => {
                     // The root relaxation objective is a valid global lower
                     // bound; publish it for pollers.
@@ -1142,7 +1149,11 @@ mod tests {
             8.0,
         );
         let base = BranchAndBound::new(&p).solve().unwrap();
-        assert!(base.stats.scale.is_empty(), "features-off runs stay clean");
+        assert_eq!(
+            base.stats.scale,
+            crate::ScaleProfile::default(),
+            "features-off runs stay clean"
+        );
         let opts = MipOptions {
             cuts: true,
             propagate: true,

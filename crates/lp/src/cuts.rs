@@ -400,7 +400,7 @@ pub(crate) fn root_cut_loop(
     budget: &std::sync::Arc<crate::faults::Budget>,
     scale: &mut crate::profile::ScaleProfile,
 ) -> Result<CutLoopResult, crate::LpError> {
-    use crate::simplex::solve_lp;
+    use crate::simplex::{solve_lp, LpOutcome};
     use crate::status::LpStatus;
 
     let mut opts = lp_opts.clone();
@@ -411,7 +411,7 @@ pub(crate) fn root_cut_loop(
     let mut iters = 0usize;
 
     for _ in 0..MAX_ROUNDS {
-        let out = match solve_lp(&current, &opts) {
+        let out = match solve_lp(&current, &opts).and_then(LpOutcome::finished) {
             Ok(o) => o,
             Err(_) => break, // budget/numerics: keep what we have
         };
@@ -460,7 +460,8 @@ pub(crate) fn root_cut_loop(
                     if child.set_bounds(v, val, val).is_err() {
                         continue;
                     }
-                    let Ok(out) = solve_lp(&child, &probe_opts) else {
+                    let Ok(out) = solve_lp(&child, &probe_opts).and_then(LpOutcome::finished)
+                    else {
                         continue;
                     };
                     iters += out.iterations;
@@ -480,7 +481,7 @@ pub(crate) fn root_cut_loop(
                     current = apply_pool(problem, &pool)?;
                     // Re-solve over the final pool; its pivots are charged
                     // to the root work like every other loop LP.
-                    if let Ok(out) = solve_lp(&current, &opts) {
+                    if let Ok(out) = solve_lp(&current, &opts).and_then(LpOutcome::finished) {
                         iters += out.iterations;
                     }
                 }

@@ -62,6 +62,7 @@ pub mod race_models;
 mod rendezvous;
 mod simplex;
 mod sparse;
+pub mod stats;
 mod status;
 mod tol;
 mod worksteal;
@@ -84,5 +85,6 @@ pub use propagate::{Propagation, Propagator};
 pub use pseudocost::PseudoCost;
 pub use simplex::{solve_lp, LpOutcome};
 pub use sparse::CscMatrix;
+pub use stats::JsonObject;
 pub use status::{LpStatus, MipStatus};
 pub use write::write_lp_format;

@@ -596,6 +596,13 @@ fn worker_loop(id: usize, shared: &Shared<'_>) -> WorkerStats {
                 shared.abort(None, &mut local);
                 break;
             }
+            LpStatus::IterationLimit => {
+                // `solve_node_resilient` reports a capped node LP as
+                // `Err(IterationLimit)` above; treat it the same way.
+                shared.flag_limit(MipStatus::NodeLimit);
+                shared.abort(Some(node), &mut local);
+                break;
+            }
             LpStatus::Optimal => {}
         }
         // Pseudo-cost learning from the solved child. The engine lock is a

@@ -4,12 +4,44 @@
 //! on [`LpOutcome`](crate::LpOutcome); branch-and-bound merges the per-node
 //! profiles into [`MipStats`](crate::MipStats) (serial and parallel alike),
 //! where the CLI's `--stats` flag, the bench rows and `perfbench --trace 1`
-//! read them. Counters are always collected; the wall-clock section timers
-//! are gated behind [`LpOptions::profile`](crate::LpOptions::profile)
-//! because they cost a few `Instant::now` calls per iteration.
+//! read them through the stats schema ([`crate::stats`]): each field is
+//! declared with its schema name below. Counters are always collected; the
+//! wall-clock section timers are gated behind
+//! [`LpOptions::profile`](crate::LpOptions::profile) because they cost a
+//! few `Instant::now` calls per iteration.
 
 use std::time::Instant;
 
+use crate::stats::{Stat, ToStat};
+
+/// Defines a profile whose every field is a stat: the struct, `absorb`
+/// (fields add) and `stats` (each field under its stats-schema name, in
+/// declaration order; `f64` fields are seconds, reported in
+/// milliseconds).
+macro_rules! profile {
+    ($(#[$meta:meta])* pub struct $name:ident {
+        $($(#[doc = $doc:literal])* $field:ident: $ty:ty => $stat:literal,)*
+    }) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[doc = $doc])* pub $field: $ty,)*
+        }
+
+        impl $name {
+            /// Merges another profile into this one (every field adds).
+            pub fn absorb(&mut self, other: &$name) {
+                $(self.$field += other.$field;)*
+            }
+
+            /// Every field under its stats-schema name ([`crate::stats`]).
+            pub fn stats(&self) -> Vec<Stat> {
+                vec![$(($stat, self.$field.to_stat()),)*]
+            }
+        }
+    };
+}
+
+profile! {
 /// Counters and timers of one or more simplex solves.
 ///
 /// Section timers (`*_secs`) are zero unless the solve ran with
@@ -18,73 +50,54 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SimplexProfile {
     /// LP solves merged into this profile.
-    pub solves: usize,
+    solves: usize => "lp_solves",
     /// Primal pivots (phases 1 and 2).
-    pub primal_iterations: usize,
+    primal_iterations: usize => "primal_iterations",
     /// Dual pivots (warm restarts).
-    pub dual_iterations: usize,
+    dual_iterations: usize => "dual_iterations",
     /// Nonbasic bound flips: primal entering-variable flips plus the dual
     /// long-step (bound-flipping ratio test) flips, each of which replaces a
     /// full pivot.
-    pub bound_flips: usize,
+    bound_flips: usize => "bound_flips",
     /// Devex reference-framework resets (weights drifted too far).
-    pub devex_resets: usize,
+    devex_resets: usize => "devex_resets",
     /// Basis refactorizations.
-    pub refactors: usize,
+    refactors: usize => "refactors",
     /// Warm dual solves abandoned for a cold primal solve (degenerate dual
     /// exceeded its cap, vanished-bound mismatch, or a numerical failure).
-    pub warm_fallbacks: usize,
+    warm_fallbacks: usize => "warm_fallbacks",
     /// Retry-ladder rungs climbed after a numerical failure (tighter
     /// refactorization, Bland pricing, bound perturbation) before a node
     /// LP succeeded.
-    pub retries: usize,
+    retries: usize => "retries",
     /// Total wall-clock seconds inside LP solves (always measured).
-    pub lp_secs: f64,
+    lp_secs: f64 => "lp_ms",
     /// Entering/leaving selection and reduced-cost maintenance.
-    pub pricing_secs: f64,
+    pricing_secs: f64 => "pricing_ms",
     /// Forward solves `B w = a_q` (`L`, row etas, `U`).
-    pub ftran_secs: f64,
+    ftran_secs: f64 => "ftran_ms",
     /// Backward solves `Bᵀ y = c` (`Uᵀ`, row etas, `Lᵀ`).
-    pub btran_secs: f64,
+    btran_secs: f64 => "btran_ms",
     /// Primal and dual ratio tests (incl. bound-flip breakpoint walks).
-    pub ratio_secs: f64,
+    ratio_secs: f64 => "ratio_ms",
     /// Basis factorization time: periodic refactorizations *and* the
     /// initial factorization of every solve.
-    pub refactor_secs: f64,
+    refactor_secs: f64 => "refactor_ms",
     /// Forrest–Tomlin basis updates of the `U` factor.
-    pub update_secs: f64,
+    update_secs: f64 => "update_ms",
     /// Everything else inside a solve that is measured but fits no kernel
     /// bucket: crash-basis setup, `x_B` recomputes, phase-1 objective
     /// checks, and solution extraction. Together with the kernel buckets
     /// this makes the per-phase timers sum to within a few percent of
     /// [`lp_secs`](Self::lp_secs).
-    pub other_secs: f64,
+    other_secs: f64 => "other_ms",
+}
 }
 
 impl SimplexProfile {
     /// Total simplex pivots.
     pub fn iterations(&self) -> usize {
         self.primal_iterations + self.dual_iterations
-    }
-
-    /// Merges another profile into this one (counters and timers add).
-    pub fn absorb(&mut self, other: &SimplexProfile) {
-        self.solves += other.solves;
-        self.primal_iterations += other.primal_iterations;
-        self.dual_iterations += other.dual_iterations;
-        self.bound_flips += other.bound_flips;
-        self.devex_resets += other.devex_resets;
-        self.refactors += other.refactors;
-        self.warm_fallbacks += other.warm_fallbacks;
-        self.retries += other.retries;
-        self.lp_secs += other.lp_secs;
-        self.pricing_secs += other.pricing_secs;
-        self.ftran_secs += other.ftran_secs;
-        self.btran_secs += other.btran_secs;
-        self.ratio_secs += other.ratio_secs;
-        self.refactor_secs += other.refactor_secs;
-        self.update_secs += other.update_secs;
-        self.other_secs += other.other_secs;
     }
 
     /// Sum of the per-phase section timers (zero when profiling was off).
@@ -97,43 +110,9 @@ impl SimplexProfile {
             + self.update_secs
             + self.other_secs
     }
-
-    /// Multi-line human-readable report (the CLI's `--stats` block).
-    pub fn report(&self) -> String {
-        let mut s = format!(
-            "simplex: {} solves, {} primal + {} dual pivots, {} bound flips, \
-             {} refactors, {} devex resets, {:.1} ms in LP",
-            self.solves,
-            self.primal_iterations,
-            self.dual_iterations,
-            self.bound_flips,
-            self.refactors,
-            self.devex_resets,
-            self.lp_secs * 1e3,
-        );
-        if self.warm_fallbacks > 0 || self.retries > 0 {
-            s.push_str(&format!(
-                "\n  recovery: {} warm-to-cold fallbacks, {} retry-ladder rungs",
-                self.warm_fallbacks, self.retries,
-            ));
-        }
-        if self.timed_secs() > 0.0 {
-            s.push_str(&format!(
-                "\n  breakdown: pricing {:.1} ms, ftran {:.1} ms, btran {:.1} ms, \
-                 ratio {:.1} ms, refactor {:.1} ms, update {:.1} ms, other {:.1} ms",
-                self.pricing_secs * 1e3,
-                self.ftran_secs * 1e3,
-                self.btran_secs * 1e3,
-                self.ratio_secs * 1e3,
-                self.refactor_secs * 1e3,
-                self.update_secs * 1e3,
-                self.other_secs * 1e3,
-            ));
-        }
-        s
-    }
 }
 
+profile! {
 /// Contention counters of the parallel search layer.
 ///
 /// All zeros for the serial solver. For the parallel solver these expose
@@ -144,106 +123,50 @@ impl SimplexProfile {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ContentionProfile {
     /// Nodes a worker took from another worker's deque.
-    pub steals: usize,
+    steals: usize => "steals",
     /// Steal attempts that found the victim's deque momentarily locked by
     /// its owner or another thief (the thief moved on to the next victim).
-    pub steal_failures: usize,
+    steal_failures: usize => "steal_failures",
     /// Node solves that materialized a working basis from a parent snapshot
     /// still shared with an unexplored sibling — the copy-on-write clone
     /// point. Dispatch itself never deep-clones a snapshot.
-    pub cow_clones: usize,
+    cow_clones: usize => "cow_clones",
     /// Seqlock acquisition retries while installing a new incumbent
     /// (two workers raced to publish improvements at the same instant).
-    pub incumbent_retries: usize,
+    incumbent_retries: usize => "incumbent_retries",
     /// Times a worker's own-deque `try_lock` missed (a thief held the lock)
     /// and the owner had to block — the only blocking a busy worker can do.
-    pub lock_waits: usize,
+    lock_waits: usize => "lock_waits",
+}
 }
 
-impl ContentionProfile {
-    /// Merges another contention profile into this one.
-    pub fn absorb(&mut self, other: &ContentionProfile) {
-        self.steals += other.steals;
-        self.steal_failures += other.steal_failures;
-        self.cow_clones += other.cow_clones;
-        self.incumbent_retries += other.incumbent_retries;
-        self.lock_waits += other.lock_waits;
-    }
-
-    /// One-line human-readable summary (the CLI's parallel stats line).
-    pub fn report(&self) -> String {
-        format!(
-            "{} steals ({} failed), {} cow clones, {} lock waits, {} incumbent retries",
-            self.steals,
-            self.steal_failures,
-            self.cow_clones,
-            self.lock_waits,
-            self.incumbent_retries,
-        )
-    }
-}
-
+profile! {
 /// Counters of the scale layer (cut separation, node propagation, and
 /// pseudo-cost branching).
 ///
 /// All zeros when the features are off — the features-off search leaves
 /// this untouched, which the golden pins rely on. Merged into
-/// [`MipStats`](crate::MipStats) like the other profiles and rendered by
-/// the CLI's `--stats`/`--json` output and `tables -- scale`.
+/// [`MipStats`](crate::MipStats) like the other profiles and printed
+/// through the stats schema ([`crate::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScaleProfile {
     /// Cuts separated (violated cover/clique inequalities generated).
-    pub cuts_separated: usize,
+    cuts_separated: usize => "cuts_separated",
     /// Cuts applied to the working problem (in the pool at the final round).
-    pub cuts_applied: usize,
+    cuts_applied: usize => "cuts_applied",
     /// Cuts evicted from the pool for inactivity (eligible to re-separate).
-    pub cuts_evicted: usize,
+    cuts_evicted: usize => "cuts_evicted",
     /// Separation rounds run (root rounds plus shallow probe dives).
-    pub cut_rounds: usize,
+    cut_rounds: usize => "cut_rounds",
     /// Binary variables fixed by node bound propagation.
-    pub propagation_fixings: usize,
+    propagation_fixings: usize => "propagation_fixings",
     /// Nodes proven infeasible by propagation alone (no LP solved).
-    pub propagation_infeasible: usize,
+    propagation_infeasible: usize => "propagation_infeasible",
     /// Pseudo-cost observations recorded (child-LP objective gains).
-    pub pseudocost_updates: usize,
+    pseudocost_updates: usize => "pseudocost_updates",
     /// Strong-branching probe LPs solved for reliability initialization.
-    pub strong_branch_solves: usize,
+    strong_branch_solves: usize => "strong_branch_solves",
 }
-
-impl ScaleProfile {
-    /// Merges another scale profile into this one.
-    pub fn absorb(&mut self, other: &ScaleProfile) {
-        self.cuts_separated += other.cuts_separated;
-        self.cuts_applied += other.cuts_applied;
-        self.cuts_evicted += other.cuts_evicted;
-        self.cut_rounds += other.cut_rounds;
-        self.propagation_fixings += other.propagation_fixings;
-        self.propagation_infeasible += other.propagation_infeasible;
-        self.pseudocost_updates += other.pseudocost_updates;
-        self.strong_branch_solves += other.strong_branch_solves;
-    }
-
-    /// True when every counter is zero (nothing to report).
-    pub fn is_empty(&self) -> bool {
-        *self == ScaleProfile::default()
-    }
-
-    /// Multi-line human-readable report (the CLI's `--stats` block).
-    pub fn report(&self) -> String {
-        let mut s = format!(
-            "cuts: {} separated over {} rounds, {} applied, {} evicted",
-            self.cuts_separated, self.cut_rounds, self.cuts_applied, self.cuts_evicted,
-        );
-        s.push_str(&format!(
-            "\npropagation: {} fixings, {} nodes cut infeasible pre-LP",
-            self.propagation_fixings, self.propagation_infeasible,
-        ));
-        s.push_str(&format!(
-            "\npseudo-cost: {} updates, {} strong-branch probes",
-            self.pseudocost_updates, self.strong_branch_solves,
-        ));
-        s
-    }
 }
 
 /// Starts a section timer when profiling is enabled (else free).
@@ -311,18 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn report_mentions_breakdown_only_when_timed() {
-        let mut p = SimplexProfile {
-            solves: 1,
-            ..SimplexProfile::default()
-        };
-        assert!(!p.report().contains("breakdown"));
-        p.ftran_secs = 0.25;
-        assert!(p.report().contains("breakdown"));
-        assert!(p.report().contains("ftran 250.0 ms"));
-    }
-
-    #[test]
     fn contention_absorb_and_report() {
         let mut a = ContentionProfile {
             steals: 2,
@@ -336,9 +247,10 @@ mod tests {
         assert_eq!(a.steals, 4);
         assert_eq!(a.cow_clones, 10);
         assert_eq!(a.lock_waits, 2);
-        let r = a.report();
-        assert!(r.contains("4 steals (2 failed)"), "{r}");
-        assert!(r.contains("10 cow clones"), "{r}");
+        let r = a.stats();
+        assert!(r.contains(&("steals", 4.0)), "{r:?}");
+        assert!(r.contains(&("steal_failures", 2.0)), "{r:?}");
+        assert!(r.contains(&("cow_clones", 10.0)), "{r:?}");
     }
 
     #[test]
@@ -353,17 +265,16 @@ mod tests {
             pseudocost_updates: 9,
             strong_branch_solves: 4,
         };
-        assert!(!a.is_empty());
-        assert!(ScaleProfile::default().is_empty());
         let b = a;
         a.absorb(&b);
         assert_eq!(a.cuts_separated, 6);
         assert_eq!(a.propagation_fixings, 14);
         assert_eq!(a.strong_branch_solves, 8);
-        let r = a.report();
-        assert!(r.contains("6 separated over 4 rounds"), "{r}");
-        assert!(r.contains("14 fixings"), "{r}");
-        assert!(r.contains("18 updates"), "{r}");
+        let r = a.stats();
+        assert!(r.contains(&("cuts_separated", 6.0)), "{r:?}");
+        assert!(r.contains(&("cut_rounds", 4.0)), "{r:?}");
+        assert!(r.contains(&("propagation_fixings", 14.0)), "{r:?}");
+        assert!(r.contains(&("pseudocost_updates", 18.0)), "{r:?}");
     }
 
     #[test]

@@ -212,7 +212,7 @@ pub(crate) fn reliability_init(
                         // An infeasible child is the strongest possible
                         // degradation signal; record a large finite gain.
                         LpStatus::Infeasible => pc.observe(v, dir, dist, 1e6),
-                        LpStatus::Unbounded => {}
+                        LpStatus::Unbounded | LpStatus::IterationLimit => {}
                     }
                 }
                 Err(_) => return (solves, iters), // budget/numerics: stop probing

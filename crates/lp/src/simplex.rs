@@ -993,6 +993,23 @@ impl<'a> Simplex<'a> {
             stat: self.stat.clone(),
         }
     }
+
+    /// The outcome of a cold solve stopped at its pivot cap: no answer,
+    /// but the work done since `t0`, profile included.
+    fn capped(&self, t0: Instant) -> CoreOutcome {
+        let mut profile = self.profile;
+        profile.solves = 1;
+        profile.lp_secs = t0.elapsed().as_secs_f64();
+        CoreOutcome {
+            status: LpStatus::IterationLimit,
+            x: self.extract_x(),
+            objective: f64::NAN,
+            duals: vec![0.0; self.core.m],
+            snapshot: self.snapshot(),
+            iterations: self.iterations,
+            profile,
+        }
+    }
 }
 
 fn deadline_from(opts: &LpOptions) -> Option<Instant> {
@@ -1072,7 +1089,7 @@ pub(crate) fn solve_core_cold(
         (8, opts.pivot_tol, true, false),
         (4, 1e-11, true, true),
     ];
-    let mut last = LpError::SingularBasis;
+    let mut last = Err(LpError::SingularBasis);
     for (rung, (refactor_every, pivot_tol, bland, perturb)) in ladder.into_iter().enumerate() {
         let mut o = opts.clone();
         o.refactor_every = refactor_every;
@@ -1084,15 +1101,28 @@ pub(crate) fn solve_core_cold(
             solve_core_cold_once(core, lower, upper, &o, bland)
         };
         match attempt {
-            Err(e @ (LpError::SingularBasis | LpError::IterationLimit)) => last = e,
             Ok(mut out) => {
                 out.profile.retries += rung;
-                return Ok(out);
+                if out.status != LpStatus::IterationLimit {
+                    return Ok(out);
+                }
+                last = Ok(out);
             }
+            Err(e @ (LpError::SingularBasis | LpError::IterationLimit)) => last = Err(e),
             other => return other,
         }
     }
-    Err(last)
+    last
+}
+
+/// A node LP that stopped at its pivot cap (on every rung of the ladder)
+/// has no answer to branch on: report it as [`LpError::IterationLimit`].
+fn uncapped(out: CoreOutcome) -> Result<CoreOutcome, LpError> {
+    if out.status == LpStatus::IterationLimit {
+        Err(LpError::IterationLimit)
+    } else {
+        Ok(out)
+    }
 }
 
 /// One branch-and-bound node relaxation with the full recovery ladder:
@@ -1115,14 +1145,17 @@ pub(crate) fn solve_node_resilient(
             Err(WarmFail::NotDualFeasible)
             | Err(WarmFail::Error(LpError::SingularBasis))
             | Err(WarmFail::Error(LpError::IterationLimit)) => {
-                let mut out = solve_core_cold(core, lower, upper, opts)?;
+                let mut out = solve_core_cold(core, lower, upper, opts).and_then(uncapped)?;
                 out.profile.warm_fallbacks += 1;
                 return Ok((out, true));
             }
             Err(WarmFail::Error(e)) => return Err(e),
         }
     }
-    Ok((solve_core_cold(core, lower, upper, opts)?, false))
+    Ok((
+        solve_core_cold(core, lower, upper, opts).and_then(uncapped)?,
+        false,
+    ))
 }
 
 fn solve_core_cold_once(
@@ -1240,7 +1273,10 @@ fn solve_core_cold_once(
     // Phase 1: drive the total artificial infeasibility to zero, stopping
     // the moment it reaches zero (degenerate pivots at the optimum would
     // otherwise stall).
-    let p1 = sx.primal(&phase1_cost, Some(0.0))?;
+    let p1 = match sx.primal(&phase1_cost, Some(0.0)) {
+        Err(LpError::IterationLimit) => return Ok(sx.capped(t0)),
+        p1 => p1?,
+    };
     debug_assert_ne!(p1, LpStatus::Unbounded, "phase 1 is bounded below by 0");
     // Sum |artificial| over basic positions directly (artificials occupy
     // the trailing column range), then the nonbasic remainder — no
@@ -1286,7 +1322,10 @@ fn solve_core_cold_once(
     }
     sx.recompute_xb();
     tock(tmid, &mut sx.profile.other_secs);
-    let status = sx.primal(&core.c, None)?;
+    let status = match sx.primal(&core.c, None) {
+        Err(LpError::IterationLimit) => return Ok(sx.capped(t0)),
+        status => status?,
+    };
     let tout = tick(sx.timers);
     let x = sx.extract_x();
     let objective = core.c.iter().zip(&x).map(|(c, v)| c * v).sum();
@@ -1395,7 +1434,8 @@ pub struct LpOutcome {
     pub status: LpStatus,
     /// Values of the problem's variables (empty unless optimal).
     pub x: Vec<f64>,
-    /// Objective value (`+∞` if infeasible, `−∞` if unbounded).
+    /// Objective value (`+∞` if infeasible, `−∞` if unbounded, NaN when
+    /// stopped at the iteration limit).
     pub objective: f64,
     /// Dual value (shadow price `∂obj/∂rhs`) per constraint row; empty
     /// unless optimal. For `min` problems a binding `≤` row has a
@@ -1407,17 +1447,40 @@ pub struct LpOutcome {
     /// Simplex iterations across both phases.
     pub iterations: usize,
     /// Per-phase counters (and, with [`LpOptions::profile`], section
-    /// timers) of the solve.
+    /// timers) of the solve, also when it stopped at the iteration limit.
     pub profile: SimplexProfile,
+}
+
+impl LpOutcome {
+    /// The outcome, or [`LpError::IterationLimit`] when the solve stopped
+    /// at its pivot cap: for callers that treat a capped solve as a failed
+    /// one.
+    ///
+    /// # Errors
+    ///
+    /// [`LpError::IterationLimit`] for a [`LpStatus::IterationLimit`]
+    /// outcome.
+    pub fn finished(self) -> Result<LpOutcome, LpError> {
+        if self.status == LpStatus::IterationLimit {
+            Err(LpError::IterationLimit)
+        } else {
+            Ok(self)
+        }
+    }
 }
 
 /// Solves the LP relaxation of `problem` (binaries relaxed to `[0, 1]`).
 ///
+/// A solve that does not converge within [`LpOptions::max_iterations`]
+/// (on every rung of the retry ladder) returns status
+/// [`LpStatus::IterationLimit`] with the profile of its last attempt;
+/// [`LpOutcome::finished`] maps it to an error.
+///
 /// # Errors
 ///
-/// * [`LpError::IterationLimit`] — the simplex did not converge within
-///   [`LpOptions::max_iterations`].
 /// * [`LpError::SingularBasis`] — basis factorization failed irrecoverably.
+/// * [`LpError::IterationLimit`] — a scripted `itercap` fault fired on the
+///   last rung of the retry ladder.
 ///
 /// # Examples
 ///
@@ -1453,6 +1516,7 @@ pub fn solve_lp(problem: &Problem, opts: &LpOptions) -> Result<LpOutcome, LpErro
             LpStatus::Optimal => out.objective,
             LpStatus::Infeasible => f64::INFINITY,
             LpStatus::Unbounded => f64::NEG_INFINITY,
+            LpStatus::IterationLimit => f64::NAN,
         },
         duals,
         reduced_costs,
@@ -1489,6 +1553,41 @@ mod tests {
         );
         assert!((out.x[0] - 2.0).abs() < 1e-7);
         assert!((out.x[1] - 2.0).abs() < 1e-7);
+    }
+
+    #[test]
+    fn capped_solve_keeps_its_profile() {
+        // max Σ x_j over the chain x_j + x_{j+1} ≤ 1: several pivots to the
+        // optimum, so a cap of 2 stops every rung of the retry ladder.
+        let mut p = Problem::new("chain");
+        let xs: Vec<_> = (0..10)
+            .map(|j| {
+                p.add_var(format!("x{j}"), VarKind::Continuous, -1.0)
+                    .unwrap()
+            })
+            .collect();
+        for (j, w) in xs.windows(2).enumerate() {
+            p.add_constraint(format!("c{j}"), [(w[0], 1.0), (w[1], 1.0)], Sense::Le, 1.0)
+                .unwrap();
+        }
+        let cap = 2;
+        let capped = LpOptions {
+            max_iterations: cap,
+            profile: true,
+            ..opts()
+        };
+        let out = solve_lp(&p, &capped).unwrap();
+        assert_eq!(out.status, LpStatus::IterationLimit);
+        assert!(out.objective.is_nan());
+        assert_eq!(out.iterations, cap);
+        assert_eq!(out.profile.iterations(), cap);
+        assert_eq!(out.profile.retries, 4, "every ladder rung hit the cap");
+        assert!(out.profile.timed_secs() > 0.0);
+        assert!(out.profile.lp_secs > 0.0);
+        assert!(matches!(out.finished(), Err(LpError::IterationLimit)));
+        let full = solve_lp(&p, &opts()).unwrap().finished().unwrap();
+        assert_eq!(full.status, LpStatus::Optimal);
+        assert!(full.iterations > cap);
     }
 
     #[test]

@@ -11,6 +11,9 @@ pub enum LpStatus {
     Infeasible,
     /// Proven unbounded below.
     Unbounded,
+    /// Stopped at [`LpOptions::max_iterations`](crate::LpOptions) before a
+    /// proof. The outcome has no answer, only the work done so far.
+    IterationLimit,
 }
 
 impl fmt::Display for LpStatus {
@@ -19,6 +22,7 @@ impl fmt::Display for LpStatus {
             LpStatus::Optimal => "optimal",
             LpStatus::Infeasible => "infeasible",
             LpStatus::Unbounded => "unbounded",
+            LpStatus::IterationLimit => "iteration limit",
         })
     }
 }

@@ -34,9 +34,12 @@ use std::process::ExitCode;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use tempart_bench::paper_graph;
+use tempart_bench::report::Artifact;
+use tempart_bench::{date98_device, date98_instance};
 use tempart_cli::proto::{read_frame, write_frame, Request, Response, SolveParams};
-use tempart_cli::{DeviceSpec, EdgeSpec, FuSpec, SpecFile, TaskSpec};
+use tempart_cli::SpecFile;
+use tempart_lp::stats::ms;
+use tempart_lp::JsonObject;
 use tempart_server::{start, ServerConfig, ServerHandle};
 
 const CLIENT_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -52,71 +55,11 @@ const DEADLINE_LIMIT_SECS: f64 = 0.75;
 const SHED_PROBES: usize = 20;
 
 /// The paper's graph-1 flagship as a wire specification: the same
-/// generated topology the table harness solves as `g1-N3-L1`, with the
-/// `2+2+1` exploration set and the date98 device constants.
+/// generated topology, `2+2+1` exploration set and date98 device the table
+/// harness solves as `g1-N3-L1`.
 fn g1_spec() -> SpecFile {
-    let g = paper_graph(1);
-    let tasks = g
-        .tasks()
-        .iter()
-        .map(|t| {
-            let ids = t.ops();
-            let local = |op| {
-                ids.iter()
-                    .position(|&o| o == op)
-                    .expect("op belongs to its task")
-            };
-            TaskSpec {
-                name: t.name().to_string(),
-                ops: ids
-                    .iter()
-                    .map(|&o| g.op(o).kind().mnemonic().to_string())
-                    .collect(),
-                deps: t
-                    .op_graph()
-                    .edges()
-                    .iter()
-                    .map(|&(a, b)| [local(a), local(b)])
-                    .collect(),
-            }
-        })
-        .collect();
-    let edges = g
-        .task_edges()
-        .iter()
-        .map(|e| EdgeSpec {
-            from: g.task(e.from).name().to_string(),
-            to: g.task(e.to).name().to_string(),
-            bandwidth: e.bandwidth.units(),
-        })
-        .collect();
-    SpecFile {
-        name: "date98-graph1".into(),
-        tasks,
-        edges,
-        fus: vec![
-            FuSpec {
-                type_name: "add16".into(),
-                count: 2,
-            },
-            FuSpec {
-                type_name: "mul8".into(),
-                count: 2,
-            },
-            FuSpec {
-                type_name: "sub16".into(),
-                count: 1,
-            },
-        ],
-        device: DeviceSpec {
-            name: "date98".into(),
-            capacity: 100,
-            scratch_memory: 2048,
-            alpha: 0.7,
-            reconfig_cycles: 164_000,
-            memory_word_cycles: 1,
-        },
-    }
+    let instance = date98_instance(1, 2, 2, 1, date98_device()).expect("graph 1 builds");
+    SpecFile::from_instance("date98-graph1", &instance)
 }
 
 /// One client-side observation of one job.
@@ -124,7 +67,6 @@ struct JobResult {
     latency: Duration,
     /// The admitted wall-clock cap the client asked for.
     deadline_secs: f64,
-    status: String,
     shed: bool,
 }
 
@@ -151,19 +93,17 @@ fn run_job(stream: &mut TcpStream, spec: &SpecFile, params: SolveParams) -> JobR
     loop {
         match recv(stream) {
             Response::Accepted { .. } | Response::Progress { .. } => continue,
-            Response::Result { summary, .. } => {
+            Response::Result { .. } => {
                 return JobResult {
                     latency: started.elapsed(),
                     deadline_secs,
-                    status: summary.status,
                     shed: false,
                 }
             }
-            Response::Rejected { reason } => {
+            Response::Rejected { .. } => {
                 return JobResult {
                     latency: started.elapsed(),
                     deadline_secs,
-                    status: format!("rejected:{reason}"),
                     shed: true,
                 }
             }
@@ -321,21 +261,7 @@ fn main() -> ExitCode {
     println!(
         "(warm jobs: example spec @(2,1), cached; deadline jobs: g1-N3-L1 @{DEADLINE_LIMIT_SECS} s admission deadline)"
     );
-    println!(
-        "{:>7} {:>5} {:>8} {:>7} {:>8} {:>8} {:>8} {:>8} {:>5} {:>9} {:>8}",
-        "clients",
-        "jobs",
-        "wall(s)",
-        "jobs/s",
-        "p50(ms)",
-        "p90(ms)",
-        "p99(ms)",
-        "max(ms)",
-        "shed",
-        "hit-rate",
-        "max-ddl"
-    );
-    let mut json_rows: Vec<String> = Vec::new();
+    let mut art = Artifact::default();
     let mut max_ratio = 0.0f64;
     let mut total_failed = 0u64;
     let mut total_orphaned = 0u64;
@@ -355,8 +281,7 @@ fn main() -> ExitCode {
             .map(|r| r.latency.as_secs_f64() / r.deadline_secs)
             .fold(0.0f64, f64::max);
         max_ratio = max_ratio.max(row_ratio);
-        let failed = row.results.iter().filter(|r| r.status == "failed").count() as u64;
-        total_failed += failed;
+        total_failed += row.stats.failed;
         total_orphaned += row.stats.orphaned();
         let cache_attempts = row.stats.cache_hits + row.stats.cache_misses + row.stats.cache_stale;
         let hit_rate = if cache_attempts == 0 {
@@ -372,87 +297,60 @@ fn main() -> ExitCode {
             percentile_ms(&sorted, 0.99),
         );
         let max_ms = percentile_ms(&sorted, 1.0);
-        println!(
-            "{:>7} {:>5} {:>8.2} {:>7.1} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>5} {:>8.0}% {:>8.3}",
-            row.clients,
-            completed,
-            row.wall.as_secs_f64(),
-            throughput,
-            p50,
-            p90,
-            p99,
-            max_ms,
-            row.stats.shed,
-            hit_rate * 100.0,
-            row_ratio,
+        let mut o = JsonObject::new();
+        o.uint("clients", row.clients as u64)
+            .uint("workers", 2)
+            .uint("jobs", completed as u64)
+            .num("wall_ms", ms(row.wall.as_secs_f64()))
+            .num("throughput_jobs_per_sec", r3(throughput))
+            .num("p50_ms", r3(p50))
+            .num("p90_ms", r3(p90))
+            .num("p99_ms", r3(p99))
+            .num("max_ms", r3(max_ms))
+            .num("cache_hit_rate", r3(hit_rate))
+            .num("max_deadline_ratio", r3(row_ratio))
+            .stats(row.stats.stats());
+        art.row(
+            &o, "clients jobs wall_ms throughput_jobs_per_sec p50_ms p99_ms shed cache_hit_rate max_deadline_ratio",
         );
-        json_rows.push(format!(
-            "  {{\"clients\": {}, \"workers\": 2, \"jobs\": {completed}, \"wall_ms\": {:.3}, \
-             \"throughput_jobs_per_sec\": {throughput:.3}, \"p50_ms\": {p50:.3}, \
-             \"p90_ms\": {p90:.3}, \"p99_ms\": {p99:.3}, \"max_ms\": {max_ms:.3}, \
-             \"shed\": {}, \"rejected\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"cache_stale\": {}, \"cache_hit_rate\": {hit_rate:.4}, \
-             \"max_deadline_ratio\": {row_ratio:.4}, \"failed\": {failed}, \"orphaned\": {}}}",
-            row.clients,
-            row.wall.as_secs_f64() * 1e3,
-            row.stats.shed,
-            row.stats.rejected,
-            row.stats.cache_hits,
-            row.stats.cache_misses,
-            row.stats.cache_stale,
-            row.stats.orphaned(),
-        ));
     }
     let shed_ms = shed_probe(&warm_spec);
     let max_shed_ms = shed_ms.iter().copied().fold(0.0f64, f64::max);
     let mean_shed_ms = shed_ms.iter().sum::<f64>() / shed_ms.len().max(1) as f64;
-    println!(
-        "shed probe: {} refusals, mean {:.3} ms, max {:.3} ms",
-        shed_ms.len(),
-        mean_shed_ms,
-        max_shed_ms
+    art.row(
+        JsonObject::new()
+            .str("probe", "shed")
+            .uint("refusals", shed_ms.len() as u64)
+            .num("mean_shed_ms", r3(mean_shed_ms))
+            .num("max_shed_ms", r3(max_shed_ms)),
+        "probe refusals mean_shed_ms max_shed_ms",
     );
-    json_rows.push(format!(
-        "  {{\"probe\": \"shed\", \"refusals\": {}, \"mean_shed_ms\": {mean_shed_ms:.3}, \
-         \"max_shed_ms\": {max_shed_ms:.3}}}",
-        shed_ms.len(),
-    ));
     // The pinned acceptance bars.
-    let deadline_pass = max_ratio <= 1.10;
-    let shed_pass = max_shed_ms < 10.0;
-    let orphan_pass = total_orphaned == 0 && total_failed == 0;
     for (name, value, pass) in [
-        ("no_job_exceeds_deadline_by_10pct", max_ratio, deadline_pass),
-        ("shed_response_under_10ms", max_shed_ms, shed_pass),
+        (
+            "no_job_exceeds_deadline_by_10pct",
+            max_ratio,
+            max_ratio <= 1.10,
+        ),
+        ("shed_response_under_10ms", max_shed_ms, max_shed_ms < 10.0),
         (
             "zero_orphans_and_failures",
             (total_orphaned + total_failed) as f64,
-            orphan_pass,
+            total_orphaned == 0 && total_failed == 0,
         ),
     ] {
-        println!(
-            "acceptance [{}]: {name} = {value:.3}",
-            if pass { "PASS" } else { "FAIL" }
-        );
-        json_rows.push(format!(
-            "  {{\"acceptance\": \"{name}\", \"value\": {value:.4}, \"pass\": {pass}}}"
-        ));
+        art.bar(name, pass, JsonObject::new().num("value", r3(value)));
     }
-    let json = format!("[\n{}\n]\n", json_rows.join(",\n"));
-    // Write-then-rename so an interrupted run never leaves a truncated
-    // artifact.
-    let tmp = format!("{out}.tmp");
-    let write = std::fs::write(&tmp, &json).and_then(|()| std::fs::rename(&tmp, &out));
-    match write {
-        Ok(()) => println!("wrote {out} ({} rows)", json_rows.len()),
+    match art.write(&out) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("cannot write {out}: {e}");
-            return ExitCode::FAILURE;
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
         }
     }
-    if deadline_pass && shed_pass && orphan_pass {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+}
+
+/// Rounds to three decimals.
+fn r3(v: f64) -> f64 {
+    (v * 1e3).round() / 1e3
 }

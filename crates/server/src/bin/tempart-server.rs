@@ -9,8 +9,9 @@
 //! Prints `listening on <addr>` once bound (with `--addr 127.0.0.1:0` the
 //! OS-assigned port appears here — scripts scrape it), then blocks until a
 //! client sends `shutdown`. The graceful drain finishes every in-flight
-//! job on the anytime path and prints a final accounting line; the exit
-//! code is 0 only when no accepted job was orphaned.
+//! job on the anytime path and prints a final accounting line (every
+//! service counter, `orphaned` last); the exit code is 0 only when no
+//! accepted job was orphaned.
 //!
 //! `--faults PLAN` scripts the deterministic chaos plan (see
 //! `tempart-lp`'s grammar; service sites: `slowclient`, `tornframe`,
@@ -97,18 +98,7 @@ fn main() -> ExitCode {
     println!("listening on {}", handle.addr());
     let _ = std::io::stdout().flush();
     let stats = handle.join();
-    println!(
-        "drained: {} submitted, {} accepted, {} shed, {} rejected, {} completed, {} failed, \
-         {} requeued, {} orphaned",
-        stats.submitted,
-        stats.accepted,
-        stats.shed,
-        stats.rejected,
-        stats.completed,
-        stats.failed,
-        stats.requeues,
-        stats.orphaned()
-    );
+    println!("drained: {}", tempart_lp::stats::text(&stats.stats()));
     if stats.orphaned() == 0 {
         ExitCode::SUCCESS
     } else {

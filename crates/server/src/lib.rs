@@ -149,8 +149,9 @@ pub(crate) struct Inner {
     /// can cooperatively stop them all.
     // lock-order: 3
     running: Mutex<Vec<(u64, Arc<Budget>)>>,
-    /// Connection threads, joined at shutdown so every terminal frame is
-    /// flushed before the process exits.
+    /// Live connection threads (finished ones are dropped on each
+    /// accept), joined at shutdown so every terminal frame is flushed
+    /// before the process exits.
     // lock-order: 4
     conns: Mutex<Vec<thread::JoinHandle<()>>>,
 }
@@ -397,7 +398,13 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
             .name("tempart-conn".to_string())
             .spawn(move || conn::handle(conn_inner, stream));
         if let Ok(h) = handle {
-            lock(&inner.conns).push(h);
+            let mut conns = lock(&inner.conns);
+            // Join the connections that have already closed (instantly),
+            // so a long-running server keeps one handle per live one.
+            for done in conns.extract_if(.., |c| c.is_finished()) {
+                let _ = done.join();
+            }
+            conns.push(h);
         }
     }
 }
@@ -419,4 +426,33 @@ fn install_worker_panic_filter() {
             }
         }));
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Read;
+    use std::net::Shutdown;
+
+    use super::*;
+    use tempart_cli::proto::{read_frame, write_frame, Request, Response};
+
+    #[test]
+    fn closed_connections_do_not_accumulate_handles() {
+        let server = start(ServerConfig::default()).expect("server starts");
+        for round in 0..50 {
+            let mut stream = TcpStream::connect(server.addr()).expect("connect");
+            write_frame(&mut stream, &Request::Ping.to_json()).expect("ping");
+            let pong = read_frame(&mut stream).expect("read").expect("frame");
+            assert!(matches!(Response::from_json(&pong), Ok(Response::Pong)));
+            // This connection is live and its handle is registered: at
+            // most the previous, just-closed connection may be unreaped.
+            let retained = lock(&server.inner.conns).len();
+            assert!(retained <= 2, "round {round}: {retained} handles retained");
+            // Close and wait for the server side to hang up.
+            stream.shutdown(Shutdown::Write).expect("half-close");
+            let _ = stream.read(&mut [0u8; 1]);
+        }
+        let stats = server.shutdown();
+        assert_eq!(stats.orphaned(), 0);
+    }
 }

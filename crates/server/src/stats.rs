@@ -4,59 +4,97 @@
 //! is **zero orphans**: every accepted job reaches exactly one terminal
 //! status, so `accepted == completed + failed` once the server drains.
 
+use tempart_lp::stats::Stat;
 use tempart_race::sync::atomic::{AtomicU64, Ordering};
 
-/// Internal counters (relaxed atomics — monotone counts, no ordering
-/// dependencies).
+/// Defines the service counters once: the atomic [`Stats`] tallies, one
+/// `note_*` bump per counter, and the [`StatsSnapshot`] copy whose
+/// [`StatsSnapshot::stats`] prints each counter under its field name.
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])+ $field:ident $(=> $note:ident)?,)*) => {
+        /// Internal counters (relaxed atomics — monotone counts, no
+        /// ordering dependencies).
+        #[derive(Debug, Default)]
+        pub(crate) struct Stats {
+            $($field: AtomicU64,)*
+        }
+
+        impl Stats {
+            $($(pub(crate) fn $note(&self) {
+                // audit: allow(atomic-ordering) — the receiver is a macro
+                // metavariable the textual lint cannot bind; the expanded
+                // sites are the monotone tallies declared on `Stats`.
+                self.$field.fetch_add(1, Ordering::Relaxed);
+            })?)*
+
+            pub(crate) fn snapshot(&self) -> StatsSnapshot {
+                let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+                StatsSnapshot {
+                    $($field: get(&self.$field),)*
+                }
+            }
+        }
+
+        /// A point-in-time copy of the service counters.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct StatsSnapshot {
+            $($(#[doc = $doc])+ pub $field: u64,)*
+        }
+
+        impl StatsSnapshot {
+            /// Every counter under its field name, then `orphaned`: the
+            /// service half of the stats schema (the solver half is
+            /// [`MipStats::stats`](tempart_lp::MipStats::stats)).
+            pub fn stats(&self) -> Vec<Stat> {
+                vec![
+                    $((stringify!($field), self.$field as f64),)*
+                    ("orphaned", self.orphaned() as f64),
+                ]
+            }
+        }
+    };
+}
+
 // hb: relaxed-rmw -> relaxed-load (cell) — every counter is a monotone
 // tally bumped by `fetch_add` and read only by `snapshot`; no data is
 // published through a count, so `Relaxed` is sufficient on both sides
 // (model: `race_models::requeue_drain_no_orphans` pins the ledger).
 // hb: relaxed-load (c) — `snapshot`'s closure-parameter reads of the same
 // counters.
-#[derive(Debug, Default)]
-pub(crate) struct Stats {
-    submitted: AtomicU64,
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    shed: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    requeues: AtomicU64,
-    panics: AtomicU64,
-    torn_frames: AtomicU64,
-    disconnects: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_stale: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_uncached: AtomicU64,
-}
-
-macro_rules! bump {
-    ($($fn_name:ident => $field:ident),* $(,)?) => {
-        $(pub(crate) fn $fn_name(&self) {
-            // audit: allow(atomic-ordering) — the receiver is a macro
-            // metavariable the textual lint cannot bind; the expanded
-            // sites are the monotone tallies declared on `Stats` above.
-            self.$field.fetch_add(1, Ordering::Relaxed);
-        })*
-    };
+counters! {
+    /// `solve` requests received (before admission).
+    submitted => note_submitted,
+    /// Jobs admitted to the queue.
+    accepted => note_accepted,
+    /// Admission refusals other than load shedding (draining, bad budget,
+    /// bad spec, bad config).
+    rejected => note_rejected,
+    /// Load-shed refusals (`queue-full`).
+    shed => note_shed,
+    /// Jobs that reached a non-`failed` terminal status.
+    completed => note_completed,
+    /// Jobs that terminated as `failed` (two caught panics, solver error).
+    failed => note_failed,
+    /// Panic-recovery requeues.
+    requeues => note_requeue,
+    /// Worker panics caught (injected or real).
+    panics => note_panic,
+    /// Torn frames observed (real truncation or the `tornframe` site).
+    torn_frames => note_torn,
+    /// Client connections dropped by the `disconnect` site.
+    disconnects => note_disconnect,
+    /// Warm-start cache hits that passed exact validation.
+    cache_hits,
+    /// Cache hits that failed validation and degraded to cold solves.
+    cache_stale,
+    /// Warm-start lookups that found nothing.
+    cache_misses,
+    /// Jobs that never consulted the cache (no `warm_start`, or
+    /// uncacheable auto-sweep jobs).
+    cache_uncached,
 }
 
 impl Stats {
-    bump! {
-        note_submitted => submitted,
-        note_accepted => accepted,
-        note_rejected => rejected,
-        note_shed => shed,
-        note_completed => completed,
-        note_failed => failed,
-        note_requeue => requeues,
-        note_panic => panics,
-        note_torn => torn_frames,
-        note_disconnect => disconnects,
-    }
-
     /// Records a terminal summary's cache disposition.
     pub(crate) fn note_cache(&self, disposition: &str) {
         let cell = match disposition {
@@ -67,61 +105,6 @@ impl Stats {
         };
         cell.fetch_add(1, Ordering::Relaxed);
     }
-
-    pub(crate) fn snapshot(&self) -> StatsSnapshot {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        StatsSnapshot {
-            submitted: get(&self.submitted),
-            accepted: get(&self.accepted),
-            rejected: get(&self.rejected),
-            shed: get(&self.shed),
-            completed: get(&self.completed),
-            failed: get(&self.failed),
-            requeues: get(&self.requeues),
-            panics: get(&self.panics),
-            torn_frames: get(&self.torn_frames),
-            disconnects: get(&self.disconnects),
-            cache_hits: get(&self.cache_hits),
-            cache_stale: get(&self.cache_stale),
-            cache_misses: get(&self.cache_misses),
-            cache_uncached: get(&self.cache_uncached),
-        }
-    }
-}
-
-/// A point-in-time copy of the service counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    /// `solve` requests received (before admission).
-    pub submitted: u64,
-    /// Jobs admitted to the queue.
-    pub accepted: u64,
-    /// Admission refusals other than load shedding (draining, bad budget,
-    /// bad spec, bad config).
-    pub rejected: u64,
-    /// Load-shed refusals (`queue-full`).
-    pub shed: u64,
-    /// Jobs that reached a non-`failed` terminal status.
-    pub completed: u64,
-    /// Jobs that terminated as `failed` (two caught panics, solver error).
-    pub failed: u64,
-    /// Panic-recovery requeues.
-    pub requeues: u64,
-    /// Worker panics caught (injected or real).
-    pub panics: u64,
-    /// Torn frames observed (real truncation or the `tornframe` site).
-    pub torn_frames: u64,
-    /// Client connections dropped by the `disconnect` site.
-    pub disconnects: u64,
-    /// Warm-start cache hits that passed exact validation.
-    pub cache_hits: u64,
-    /// Cache hits that failed validation and degraded to cold solves.
-    pub cache_stale: u64,
-    /// Warm-start lookups that found nothing.
-    pub cache_misses: u64,
-    /// Jobs that never consulted the cache (no `warm_start`, or
-    /// uncacheable auto-sweep jobs).
-    pub cache_uncached: u64,
 }
 
 impl StatsSnapshot {

@@ -14,7 +14,7 @@ use tempart_cli::proto::{Response, SolveSummary};
 use tempart_core::{
     IlpModel, ModelConfig, PartitionerOptions, RuleKind, SolveOptions, TemporalPartitioner,
 };
-use tempart_lp::{FaultSite, MipOptions, MipStatus, Problem};
+use tempart_lp::{FaultSite, MipOptions, MipStats, MipStatus, Problem};
 
 use crate::cache::CacheEntry;
 use crate::queue::Job;
@@ -31,12 +31,8 @@ pub(crate) fn run(inner: Arc<Inner>) {
                 if job.requeued {
                     // Second crash: a truthful terminal failure.
                     let summary = SolveSummary {
-                        status: "failed".to_string(),
-                        source: "none".to_string(),
-                        cache: "uncached".to_string(),
-                        requeued: true,
                         seconds: job.submitted.elapsed().as_secs_f64(),
-                        ..SolveSummary::default()
+                        ..failed_summary(&job)
                     };
                     deliver(&inner, &job, summary);
                 } else {
@@ -47,6 +43,29 @@ pub(crate) fn run(inner: Arc<Inner>) {
             }
         }
     }
+}
+
+/// The summary of a job that produced no answer (yet): `failed`, with
+/// every solver stat at zero.
+fn failed_summary(job: &Job) -> SolveSummary {
+    SolveSummary {
+        status: "failed".to_string(),
+        source: "none".to_string(),
+        cache: "uncached".to_string(),
+        requeued: job.requeued,
+        stats: schema_stats(&MipStats::default()),
+        ..SolveSummary::default()
+    }
+}
+
+/// A solve's stats in the shared schema, as the `Result` frame carries
+/// them.
+fn schema_stats(stats: &MipStats) -> Vec<(String, f64)> {
+    stats
+        .stats()
+        .into_iter()
+        .map(|(name, v)| (name.to_string(), v))
+        .collect()
 }
 
 /// Terminal bookkeeping: unregister the budget, count the outcome, and
@@ -111,13 +130,7 @@ fn execute(inner: &Inner, job: &Job) -> SolveSummary {
         panic!("injected worker panic (chaos plan)");
     }
 
-    let mut summary = SolveSummary {
-        status: "failed".to_string(),
-        source: "none".to_string(),
-        cache: "uncached".to_string(),
-        requeued: job.requeued,
-        ..SolveSummary::default()
-    };
+    let mut summary = failed_summary(job);
 
     // Admission already validated the spec; a failure here is a truthful
     // `failed`, never a panic.
@@ -168,6 +181,7 @@ fn execute(inner: &Inner, job: &Job) -> SolveSummary {
                 summary.cost = out.solution.as_ref().map(|s| s.communication_cost());
                 summary.nodes = out.stats.nodes as u64;
                 summary.lp_iterations = out.stats.lp_iterations as u64;
+                summary.stats = schema_stats(&out.stats);
                 summary.source = out.source.as_str().to_string();
                 if out.status == MipStatus::Optimal && !out.raw_x.is_empty() {
                     if let Some(key) = &job.fingerprint {
@@ -205,6 +219,7 @@ fn execute(inner: &Inner, job: &Job) -> SolveSummary {
                 summary.cost = Some(r.solution().communication_cost());
                 summary.nodes = r.mip_stats().nodes as u64;
                 summary.lp_iterations = r.mip_stats().lp_iterations as u64;
+                summary.stats = schema_stats(r.mip_stats());
                 summary.source = r.source().as_str().to_string();
             }
         }

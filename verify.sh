@@ -36,20 +36,13 @@ cargo test -q -p tempart-lp faults
 echo "== smoke: tables harness (Table 2, 60 s rows) =="
 cargo run --release -p tempart-bench --bin tables -- table2 --limit 60
 
+# `tables` and `service-bench` exit non-zero when an acceptance bar fails
+# or their BENCH_*.json file cannot be written, so `set -e` is the gate.
 echo "== smoke: kernel study (LP scaling; budgeted tiers) =="
 cargo run --release -q -p tempart-bench --bin tables -- kernel-smoke --limit 300
-grep -q '"pass": true' BENCH_kernel_smoke.json
-if grep -q '"pass": false' BENCH_kernel_smoke.json; then
-  echo "kernel acceptance bar failed" >&2
-  exit 1
-fi
 
 echo "== smoke: solve service (client sweep, shed probe, acceptance bars) =="
 cargo run --release -q -p tempart-server --bin service-bench
-if grep -q '"pass": false' BENCH_service.json; then
-  echo "service acceptance bar failed" >&2
-  exit 1
-fi
 
 echo "== race: model checker smoke (bounded tier; planted bugs + core models) =="
 cargo test -q -p tempart-race --features race
